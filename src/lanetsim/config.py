@@ -78,7 +78,10 @@ class ScenarioConfig:
             raise ValueError("b_max must be >= 1")
         if not 0.0 <= self.estimation_error < 1.0:
             raise ValueError("estimation_error must lie in [0, 1)")
-        for name in ("mean_p_e", "severe_fraction", "p_b_severe", "p_b_mild"):
+        # per-link error rates are drawn uniform on [0, 2 * mean_p_e]
+        if not 0.0 <= self.mean_p_e <= 0.5:
+            raise ValueError("mean_p_e must lie in [0, 0.5]")
+        for name in ("severe_fraction", "p_b_severe", "p_b_mild"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")

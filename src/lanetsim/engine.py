@@ -10,7 +10,10 @@ announcement in the tail.  Data rides a separate channel under
 reservations; the engine refuses to commit a reservation that would
 conflict with an active one (carrier sensing of sustained emissions is
 modeled as reliable), which makes the no-conflicting-data invariant
-structural.
+structural: the commit gate's guard map is the safety mechanism, and a
+run does not re-check its reservations afterwards.
+`count_occupancy_conflicts` is the independent post-hoc sweep over a
+run's `res_records`, kept for tests and other verifiers to call.
 
 Event ordering is deterministic: (time, kind priority, sequence).  All
 randomness flows through named substreams of the master seed.
@@ -22,6 +25,8 @@ import time as _time
 from collections import deque
 from dataclasses import dataclass
 from hashlib import sha256
+from itertools import groupby
+from operator import itemgetter
 
 from .config import ScenarioConfig
 from .core import DataPacket, opposite_sector
@@ -131,18 +136,25 @@ def flood_routing_tables(graph: ConnectivityGraph, states: dict,
 
     Each round every node folds in its neighbors' previous-round
     snapshots, which converges level by level outward from the sinks.
+    A node observes all of a round's adverts first and then recomputes
+    once: the adverts are fixed for the round, so the table it ends the
+    round with is the one a recompute after every advert would reach.
     """
     if rounds_cap <= 0:
         rounds_cap = graph.n_nodes + 8
     rounds = 0
+    order = sorted(states)
     for _ in range(rounds_cap):
-        adverts = {i: states[i].advertisement() for i in sorted(states)}
+        adverts = {i: states[i].advertisement() for i in order}
         changed_any = False
-        for i in sorted(states):
+        for i in order:
             st = states[i]
+            moved = False
             for j in graph.out_neighbors(i):
-                changed, _ = st.update_from_control(adverts[j], {}, now=rounds)
-                changed_any = changed_any or changed
+                if st.observe(adverts[j], now=rounds):
+                    moved = True
+            if moved and st.recompute({})[0]:
+                changed_any = True
         rounds += 1
         if not changed_any:
             break
@@ -206,7 +218,6 @@ class RunMetrics:
     cc_collisions: int
     handshake_failures: int
     commit_aborts: int
-    occupancy_conflicts: int
     stalled: bool
     conservation_ok: bool
     rrs_snapshot: dict
@@ -248,15 +259,44 @@ def reservations_conflict(links, a: Reservation, b: Reservation) -> bool:
 
 def count_occupancy_conflicts(records: list[Reservation],
                               graph: ConnectivityGraph) -> int:
-    """Post-hoc sweep over all committed reservations of a run."""
+    """Post-hoc sweep over all committed reservations of a run.
+
+    A verification utility: the engine never calls it, because its
+    commit gate already refuses every conflicting reservation.  Tests
+    pass a finished run's `Simulation.res_records` and expect 0.
+
+    Counts the time-overlapping pairs that `reservations_conflict`
+    flags.  Each reservation is summarized by the receivers its two
+    beams reach and the receivers its two ends face, as
+    node * n_sectors + sector keys: x beaming xb lands in y facing yb
+    exactly when y's key is among the keys x's beam reaches, so a pair
+    conflicts when either one's reach meets the other's facing.
+    """
+    ns = graph.n_sectors
+    links = graph.links
+    reach_of: dict[int, frozenset] = {}
+
+    def reach(x: int, xb: int) -> frozenset:
+        keys = reach_of.get(x * ns + xb)
+        if keys is None:
+            keys = frozenset(y * ns + links[(x, y)].sector_at_rx
+                             for y in graph.neighbors_in_sector(x, xb))
+            reach_of[x * ns + xb] = keys
+        return keys
+
     conflicts = 0
-    active: list[Reservation] = []
+    active: list[tuple] = []   # (start, end, reach, facing)
     for res in sorted(records, key=lambda r: (r.start, r.rid)):
-        active = [r for r in active if r.end > res.start]
-        for other in active:
-            if reservations_conflict(graph.links, res, other):
+        active = [a for a in active if a[1] > res.start]
+        hits = reach(res.initiator, res.i_beam) | \
+            reach(res.acceptor, res.a_beam)
+        facing = {res.initiator * ns + res.i_beam,
+                  res.acceptor * ns + res.a_beam}
+        for start, _, o_hits, o_facing in active:
+            if res.end > start and (not hits.isdisjoint(o_facing)
+                                    or not o_hits.isdisjoint(facing)):
                 conflicts += 1
-        active.append(res)
+        active.append((res.start, res.end, hits, facing))
     return conflicts
 
 
@@ -294,13 +334,21 @@ class Simulation:
         # node beaming into a reserved domain is a conflict even before
         # the acceptor has transmitted anything
         self._guard: dict[int, int] = {}
-        self._plan_cache: dict[int, tuple] = {}
-        self._payload_cache: dict[int, tuple] = {}
+        # nid -> [q_version, routing version, plan, ART payload or None]
+        self._attempt_memo: dict[int, list] = {}
         self._chan_cache: dict[int, tuple] = {}
+        # (initiator, receiver) -> (request ver, q_version, routing
+        # version, value)
         self._pair_cache: dict[tuple[int, int], tuple] = {}
         self._audience: dict[int, list[int]] = {}
         self._ns = cfg.n_sectors
         self._nn = self.graph.n_nodes
+        # receiver*n_sectors+sector -> emitters whose beam in that sector
+        # reaches the receiver
+        cover: dict[int, set] = {}
+        for (x, y), lk in self.graph.links.items():
+            cover.setdefault(y * self._ns + lk.sector_at_tx, set()).add(x)
+        self._coverers = {key: frozenset(xs) for key, xs in cover.items()}
 
         g = self.graph
         self.sessions = generate_sessions(cfg, g, substream(cfg.seed, "sessions"))
@@ -319,6 +367,8 @@ class Simulation:
 
         self._link_rng: dict[tuple[int, int], object] = {}
         self._greedy_memo: dict[tuple[int, int], int | None] = {}
+        # (nid, sink) -> (routing obs_version, _sector_terms value)
+        self._terms_cache: dict[tuple[int, int], tuple] = {}
         self._build_progress_tables()
 
         self.warmup_us = 0
@@ -400,13 +450,18 @@ class Simulation:
             self._link_rng[(i, j)] = r
         return r
 
+    def _chan_entry(self, i: int, j: int) -> tuple:
+        """(draw, p_b, p_e) for link i -> j, cached under i*n_nodes+j."""
+        lk = self.graph.links[(i, j)]
+        c = (self._link_stream(i, j).random, lk.p_b, lk.p_e)
+        self._chan_cache[i * self._nn + j] = c
+        return c
+
     def _chan_ok(self, i: int, j: int, kind: str = "control") -> bool:
         # inlined sample_link_outcome: same draws in the same order
         c = self._chan_cache.get(i * self._nn + j)
         if c is None:
-            lk = self.graph.links[(i, j)]
-            c = (self._link_stream(i, j).random, lk.p_b, lk.p_e)
-            self._chan_cache[i * self._nn + j] = c
+            c = self._chan_entry(i, j)
         rnd, p_b, p_e = c
         if p_b and rnd() < p_b:
             return False
@@ -414,13 +469,17 @@ class Simulation:
             return False
         return True
 
-    def _register_slot(self, t_slot: int, kind: str, nid: int):
+    def _slot_list(self, t_slot: int) -> list:
+        """The intents registered for a slot, scheduling it on first use."""
         lst = self.slot_intents.get(t_slot)
         if lst is None:
             lst = []
             self.slot_intents[t_slot] = lst
             self._push(t_slot, _EV_SLOT, t_slot)
-        lst.append((kind, nid))
+        return lst
+
+    def _register_slot(self, t_slot: int, kind: str, nid: int):
+        self._slot_list(t_slot).append((kind, nid))
 
     def _greedy(self, i: int, k: int):
         key = (i, k)
@@ -497,64 +556,80 @@ class Simulation:
 
     # -- attempt planning -------------------------------------------
 
-    def _vl_choose(self, node: MacNode):
-        """Best sector and its utility for the next access attempt.
+    def _attempt(self, node: MacNode) -> list:
+        """[q_version, routing version, plan, ART payload or None].
 
-        Pure in the node's queues and routing tables, so results are
-        memoized against their version counters.
+        The plan and the request payload are pure in the node's queues
+        and routing tables, so both are memoized against their version
+        counters; the payload is built when first sent.
         """
         state = node.routing
-        key = (node.q_version, state.version if state else 0)
-        cached = self._plan_cache.get(node.nid)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        plan = self._vl_choose_eval(node)
-        self._plan_cache[node.nid] = (key, plan)
-        return plan
+        qv = node.q_version
+        rv = state.version if state else 0
+        memo = self._attempt_memo.get(node.nid)
+        if memo is None or memo[0] != qv or memo[1] != rv:
+            memo = [qv, rv, self._vl_choose_eval(node), None]
+            self._attempt_memo[node.nid] = memo
+        return memo
 
     def _vl_choose_eval(self, node: MacNode):
-        vl_route = self.cfg.protocol == "VL-ROUTE"
-        n_sectors = self.graph.n_sectors
-        util = [0.0] * n_sectors
-        state = node.routing
-        cand_i = self.cand[node.nid]
-        gmax_cache: dict[int, float] = {}
+        """Best sector and its utility for the next access attempt."""
+        util = [0.0] * self.graph.n_sectors
+        sess_sink = self.sess_sink
+        queues = node.queues
+        terms_of: dict[int, list] = {}
         for sid in node.queued_sids():
-            k = self.sess_sink[sid]
-            sectors = cand_i.get(k)
-            if sectors is None:
-                continue
-            b = node.backlog(sid)
-            if vl_route:
-                gmax = gmax_cache.get(k)
-                if gmax is None:
-                    gmax = state.gamma_max(k)
-                    gmax_cache[k] = gmax
-                if gmax <= 0.0:
-                    continue
-            for s in range(n_sectors):
-                lst = sectors[s]
-                if not lst:
-                    continue
-                acc = 0.0
-                if vl_route:
-                    obs = state.obs
-                    for j, prog in lst:
-                        ob = obs.get(j)
-                        if ob is None:
-                            continue
-                        rec = ob.table.get(k)
-                        if rec is None or rec[0] <= 0.0:
-                            continue
-                        acc += prog * (rec[0] / gmax)
-                else:
-                    for _, prog in lst:
-                        acc += prog
+            k = sess_sink[sid]
+            terms = terms_of.get(k)
+            if terms is None:
+                terms = self._sector_terms(node, k)
+                terms_of[k] = terms
+            b = len(queues[sid])
+            for s, acc in terms:
                 util[s] += b * acc
         idx = select_sector(util)
         if idx is None:
             return None
         return idx, util[idx]
+
+    def _sector_terms(self, node: MacNode, k: int) -> list:
+        """[(sector, sum of progress x normalized RRS)] toward sink k.
+
+        Every session bound for k scales the same sums by its backlog.
+        They read only the node's observations (VL-ROUTE) or nothing
+        that changes (the geographic baseline, RRS factor 1), so they
+        are kept until an observation moves.
+        """
+        state = node.routing
+        ver = state.obs_version if state else 0
+        cached = self._terms_cache.get((node.nid, k))
+        if cached is not None and cached[0] == ver:
+            return cached[1]
+        terms = []
+        sectors = self.cand[node.nid].get(k)
+        if sectors is not None:
+            gmax = state.gamma_max(k) if state else 1.0
+            if gmax > 0.0:
+                obs = state.obs if state else None
+                for s, lst in enumerate(sectors):
+                    if not lst:
+                        continue
+                    acc = 0.0
+                    if obs is None:
+                        for _, prog in lst:
+                            acc += prog
+                    else:
+                        for j, prog in lst:
+                            ob = obs.get(j)
+                            if ob is None:
+                                continue
+                            rec = ob.table.get(k)
+                            if rec is None or rec[0] <= 0.0:
+                                continue
+                            acc += prog * (rec[0] / gmax)
+                    terms.append((s, acc))
+        self._terms_cache[(node.nid, k)] = (ver, terms)
+        return terms
 
     def _fast_retry(self, node: MacNode, t_slot: int, kind: str):
         """Re-enter the same sector's slot one super-slot later.
@@ -586,7 +661,7 @@ class Simulation:
                 node.pending = "slot"
                 return
             return
-        plan = self._vl_choose(node)
+        plan = self._attempt(node)[2]
         if plan is not None:
             s_star, _ = plan
             t = clock.next_aligned(not_before,
@@ -610,31 +685,27 @@ class Simulation:
     # -- handshake payloads -----------------------------------------
 
     def _art_payload(self, node: MacNode) -> dict:
-        state = node.routing
-        key = (node.q_version, state.version if state else 0)
-        cached = self._payload_cache.get(node.nid)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        payload = {"node": node.nid, "is_art": True, "ver": key,
-                   "backlogs": node.backlogs_by_session(),
-                   "free": node.free_space(),
-                   "adv": state.advertisement() if state else None}
-        self._payload_cache[node.nid] = (key, payload)
+        memo = self._attempt(node)
+        payload = memo[3]
+        if payload is None:
+            state = node.routing
+            payload = {"node": node.nid, "is_art": True,
+                       "ver": (memo[0], memo[1]),
+                       "backlogs": node.backlogs_by_session(),
+                       "free": node.free_space(),
+                       "adv": state.advertisement() if state else None}
+            memo[3] = payload
         return payload
 
-    def _eval_pair(self, rxn: MacNode, payload: dict):
+    def _eval_pair(self, rxn: MacNode, payload: dict, rq: int, rr: int):
         """Acceptance value of one decodable request at one receiver.
 
         Depends only on the request snapshot and the receiver's own
         queues and tables, so results are memoized per directed pair
-        against both sides' version counters.
+        against both sides' version counters (rq and rr are the
+        receiver's); `_evaluate_arts` checks the memo.
         """
         i = payload["node"]
-        key = (payload["ver"], rxn.q_version,
-               rxn.routing.version if rxn.routing else 0)
-        memo = self._pair_cache.get((i, rxn.nid))
-        if memo is not None and memo[0] == key:
-            return memo[1]
         vl_route = self.cfg.protocol == "VL-ROUTE"
         sess_sink = self.sess_sink
         prog = self.prog
@@ -685,18 +756,27 @@ class Simulation:
                 u = eta_fwd * links[(i, rxn.nid)].capacity_bps \
                     + eta_rev * links[(rxn.nid, i)].capacity_bps
                 result = (q_i, q_j, u)
-        self._pair_cache[(i, rxn.nid)] = (key, result)
+        self._pair_cache[(i, rxn.nid)] = (payload["ver"], rq, rr, result)
         return result
 
     def _evaluate_arts(self, rxn: MacNode, payloads: list[dict]):
         """Acceptor selection among decodable requests; None to stay silent."""
         candidates = []
         details = {}
+        pair_cache = self._pair_cache
+        rx = rxn.nid
+        rq = rxn.q_version
+        rr = rxn.routing.version if rxn.routing else 0
         for payload in payloads:
-            r = self._eval_pair(rxn, payload)
+            i = payload["node"]
+            memo = pair_cache.get((i, rx))
+            if memo is not None and memo[0] == payload["ver"] \
+                    and memo[1] == rq and memo[2] == rr:
+                r = memo[3]
+            else:
+                r = self._eval_pair(rxn, payload, rq, rr)
             if r is None:
                 continue
-            i = payload["node"]
             candidates.append((i, r[2]))
             details[i] = r
         chosen = select_initiator(candidates)
@@ -707,15 +787,6 @@ class Simulation:
 
     # -- slot resolution --------------------------------------------
 
-    def _resolve_slot(self, t_slot: int):
-        intents = self.slot_intents.pop(t_slot, None)
-        if not intents:
-            return
-        if self.cfg.protocol == "GR-CSMA":
-            self._resolve_slot_gr(t_slot, intents)
-        else:
-            self._resolve_slot_vl(t_slot, intents)
-
     def _resolve_slot_vl(self, t_slot: int, intents):
         cfg = self.cfg
         clock = self.clock
@@ -724,6 +795,12 @@ class Simulation:
         graph = self.graph
         nodes = self.nodes
         vl_route = cfg.protocol == "VL-ROUTE"
+        ns = self._ns
+        cw = cfg.cw
+        scale = cfg.backoff_utility_scale
+        busy_map = self._busy
+        attempt_memo = self._attempt_memo
+        nbrs = graph.neighbor_index
 
         txs = []       # (cms, nid, payload)
         tx_ids = set()
@@ -737,26 +814,35 @@ class Simulation:
                 self._schedule_attempt(node)
                 continue
             if kind == "art":
-                plan = self._vl_choose(node)
+                # the memo check of _attempt, inlined
+                state = node.routing
+                qv = node.q_version
+                rv = state.version if state else 0
+                memo = attempt_memo.get(nid)
+                if memo is None or memo[0] != qv or memo[1] != rv:
+                    memo = self._attempt(node)
+                plan = memo[2]
                 if plan is None or plan[0] != beam:
                     self._schedule_attempt(node)
                     continue
-                busy = self._dc_busy_until(nid, beam)
-                if busy:
+                # _dc_busy_until at now == t_slot
+                busy = busy_map.get(nid * ns + beam, 0)
+                if busy > t_slot:
                     node.defer_until = busy
                     self._schedule_attempt(node)
                     continue
-                cms = backoff_slots(plan[1], cfg.cw, node.rng,
-                                    cfg.backoff_utility_scale)
-                txs.append((cms, nid, self._art_payload(node)))
+                cms = backoff_slots(plan[1], cw, node.rng, scale)
+                payload = memo[3]
+                if payload is None:
+                    payload = self._art_payload(node)
+                txs.append((cms, nid, payload))
                 tx_ids.add(nid)
             else:  # beacon
                 if not node.beacon_sectors or node.beacon_sectors[0] != beam:
                     self._schedule_attempt(node)
                     continue
                 node.beacon_sectors.popleft()
-                cms = backoff_slots(0.0, cfg.cw, node.rng,
-                                    cfg.backoff_utility_scale)
+                cms = backoff_slots(0.0, cw, node.rng, scale)
                 payload = {"node": nid, "is_art": False,
                            "adv": node.routing.advertisement()
                            if node.routing else None}
@@ -768,83 +854,105 @@ class Simulation:
             self._check_stall()
             return
 
-        # ART window: deliver every transmission to facing idle listeners
+        # ART window: deliver every transmission to facing idle listeners.
+        # txs go out in CMS order, so each receiver's arrivals list is
+        # already sorted by CMS.
         txs.sort()
-        arrivals: dict[int, dict[int, list]] = {}
-        nis = graph.neighbors_in_sector
-        chan = self._chan_ok
-        setd = arrivals.setdefault
+        arrivals: dict[int, list] = {}   # rx -> [(cms, payload)]
+        chan_cache = self._chan_cache
+        nn = self._nn
         for cms, nid, payload in txs:
-            for rx in nis(nid, beam):
-                rxn = nodes[rx]
-                if rxn.engaged or rx in tx_ids:
+            base = nid * nn
+            for rx in nbrs[nid][beam]:
+                if nodes[rx].engaged or rx in tx_ids:
                     continue
-                if chan(nid, rx):
-                    setd(rx, {}).setdefault(cms, []).append(payload)
-
-        heard: dict[int, list] = {}
-        for rx in sorted(arrivals):
-            for cms in sorted(arrivals[rx]):
-                lst = arrivals[rx][cms]
-                if len(lst) > 1:
-                    self.cc_collisions += len(lst)
+                # _chan_ok inlined: same draws in the same order
+                c = chan_cache.get(base + rx)
+                if c is None:
+                    c = self._chan_entry(nid, rx)
+                rnd, p_b, p_e = c
+                if (p_b and rnd() < p_b) or (p_e and rnd() < p_e):
+                    continue
+                lst = arrivals.get(rx)
+                if lst is None:
+                    arrivals[rx] = [(cms, payload)]
                 else:
-                    heard.setdefault(rx, []).append(lst[0])
+                    lst.append((cms, payload))
 
-        awaiting = {nid for _, nid, p in txs if p["is_art"]}
+        # a receiver decodes a CMS only when exactly one request used it
+        heard: dict[int, list] = {}
+        for rx, lst in arrivals.items():
+            if len(lst) == 1:
+                heard[rx] = [lst[0][1]]
+                continue
+            got = []
+            for _, same in groupby(lst, key=itemgetter(0)):
+                same = list(same)
+                if len(same) > 1:
+                    self.cc_collisions += len(same)
+                else:
+                    got.append(same[0][1])
+            if got:
+                heard[rx] = got
+
+        awaiting = tx_ids.difference(beacon_txs)
         pending_acn = []  # [acn_cms, rx, i_star, q_i, q_j, cancelled]
         for rx in sorted(heard):
             rxn = nodes[rx]
             payloads = heard[rx]
             if vl_route:
+                state = rxn.routing
                 moved = False
                 for p in payloads:
-                    adv = p.get("adv")
-                    if adv is not None and rxn.routing.observe(adv,
-                                                              now=t_slot):
+                    if state.observe(p["adv"], now=t_slot):
                         moved = True
                 if moved:
-                    _, worthy = rxn.routing.recompute(rxn.backlog_by_sink())
+                    _, worthy = state.recompute(rxn.backlog_by_sink())
                     if worthy:
                         self._queue_beacons(rxn)
                         self._schedule_attempt(rxn)
-            arts = [p for p in payloads if p["is_art"]]
-            if not arts or rxn.free_space() < 1:
-                continue
-            if self._dc_busy_until(rx, g):
+            if beacon_txs:
+                payloads = [p for p in payloads if p["is_art"]]
+                if not payloads:
+                    continue
+            if rxn.total_q >= rxn.b_max:
+                continue  # no room for a packet
+            if busy_map.get(rx * ns + g, 0) > t_slot:
                 continue  # our data reception would be corrupted; stay out
-            sel = self._evaluate_arts(rxn, arts)
+            sel = self._evaluate_arts(rxn, payloads)
             if sel is None:
                 continue
             i_star, q_i, q_j, u = sel
-            acn_cms = cfg.cw + backoff_slots(u / cfg.link_rate_bps,
-                                             cfg.acn_window, rxn.rng,
-                                             cfg.backoff_utility_scale)
+            acn_cms = cw + backoff_slots(u / cfg.link_rate_bps,
+                                         cfg.acn_window, rxn.rng, scale)
             pending_acn.append([acn_cms, rx, i_star, q_i, q_j, False])
 
         # ACN / RES tail, one CMS at a time
+        coverers = self._coverers
         res_due: dict[int, list] = {}
-        for cms in range(cfg.cw, cfg.cms_per_slot) if pending_acn else ():
+        for cms in range(cw, cfg.cms_per_slot) if pending_acn else ():
             wire = []  # (tx, kind, record)
             for rec in pending_acn:
                 if rec[0] == cms and not rec[5]:
                     wire.append((rec[1], "acn", rec))
-            for rec in res_due.pop(cms, []):
+            for rec in res_due.pop(cms, ()):
                 wire.append((rec[0], "res", rec))
             if not wire:
                 continue
+            # (tx, kind) is unique within a CMS, so records never compare
+            wire.sort()
             hear: dict[int, list] = {}
-            for tx, kind, rec in sorted(wire, key=lambda w: (w[0], w[1])):
+            for tx, kind, rec in wire:
                 if kind == "acn":
-                    _, rx, i_star, q_i, q_j, _ = rec
+                    rx = rec[1]
                     # reaches initiators whose receive sector covers rx;
-                    # other acceptors beam the same way and cannot hear it
-                    listeners = set()
-                    for i2 in awaiting:
-                        if graph.link(i2, rx) is not None and \
-                                graph.links[(i2, rx)].sector_at_tx == beam:
-                            listeners.add(i2)
-                    for y in listeners:
+                    # other acceptors beam the same way and cannot hear
+                    # it.  Each link has its own stream, so the order of
+                    # the draws below does not matter.
+                    cover = coverers.get(rx * ns + beam)
+                    if not cover:
+                        continue
+                    for y in awaiting & cover:
                         if self._chan_ok(rx, y):
                             hear.setdefault(y, []).append((rx, kind, rec))
                 else:  # res
@@ -854,20 +962,20 @@ class Simulation:
                     if committed is None:
                         continue
                     listeners = {rx}
+                    cover = coverers.get(i_star * ns + g, ())
                     for other in pending_acn:
                         rx2 = other[1]
                         # an acceptor transmitting its own ACN this CMS
                         # cannot simultaneously receive
-                        if rx2 != rx and not other[5] and other[0] != cms:
-                            lk = graph.link(rx2, i_star)
-                            if lk is not None and lk.sector_at_tx == g:
-                                listeners.add(rx2)
+                        if rx2 != rx and not other[5] and other[0] != cms \
+                                and rx2 in cover:
+                            listeners.add(rx2)
                     for y in listeners:
                         if self._chan_ok(i_star, y):
                             hear.setdefault(y, []).append((i_star, "res",
                                                            (rec, committed)))
                     # idle bystanders in the beam defer until the exchange ends
-                    for y in graph.neighbors_in_sector(i_star, beam):
+                    for y in nbrs[i_star][beam]:
                         yn = nodes[y]
                         if not yn.engaged and y not in tx_ids and \
                                 committed.end > yn.defer_until:
@@ -912,9 +1020,14 @@ class Simulation:
                         if committed.end > yn.defer_until:
                             yn.defer_until = committed.end
 
-        for nid in sorted(awaiting):
-            self.handshake_failures += 1
-            self._fast_retry(nodes[nid], t_slot, "art")
+        # initiators that heard no ACN retry one super-slot later: one
+        # intents lookup for all of them, in the order _fast_retry took
+        if awaiting:
+            self.handshake_failures += len(awaiting)
+            retry = self._slot_list(t_slot + clock.super_us)
+            for nid in sorted(awaiting):
+                nodes[nid].pending = "slot"
+                retry.append(("art", nid))
         for nid in beacon_txs:
             node = nodes[nid]
             if not node.engaged and node.pending is None:
@@ -962,7 +1075,13 @@ class Simulation:
         beam = opposite_sector(g, clock.n_sectors)
         graph = self.graph
         nodes = self.nodes
+        links = graph.links
         req_window = cfg.cms_per_slot - 2
+        ns = self._ns
+        busy_map = self._busy
+        sess_sink = self.sess_sink
+        greedy_memo = self._greedy_memo
+        retry = None   # intents one super-slot later, fetched on first use
 
         txs = []  # (cms, nid, target, sid)
         tx_ids = set()
@@ -977,18 +1096,20 @@ class Simulation:
             sid = node.gr_head_sid()
             if sid is None:
                 continue
-            k = self.sess_sink[sid]
-            target = self._greedy(nid, k)
+            k = sess_sink[sid]
+            target = greedy_memo.get((nid, k), "?")
+            if target == "?":
+                target = self._greedy(nid, k)
             if target is None:
                 self._drop_sink_packets(node, k)
                 self._schedule_attempt(node)
                 continue
-            lk = graph.links[(nid, target)]
-            if lk.sector_at_rx != g:
+            if links[(nid, target)].sector_at_rx != g:
                 self._schedule_attempt(node)  # head changed; realign
                 continue
-            busy = self._dc_busy_until(nid, beam)
-            if busy:
+            # _dc_busy_until at now == t_slot
+            busy = busy_map.get(nid * ns + beam, 0)
+            if busy > t_slot:
                 node.defer_until = busy
                 self._schedule_attempt(node)
                 continue
@@ -996,7 +1117,11 @@ class Simulation:
                 node.csma_residual = node.rng.randrange(node.csma_cw)
             if node.csma_residual >= req_window:
                 node.csma_residual -= req_window
-                self._fast_retry(node, t_slot, "gr")
+                # _fast_retry, fetching the retry slot's intents once
+                if retry is None:
+                    retry = self._slot_list(t_slot + clock.super_us)
+                retry.append(("gr", nid))
+                node.pending = "slot"
                 continue
             cms = node.csma_residual
             node.csma_residual = None
@@ -1008,22 +1133,26 @@ class Simulation:
             return
 
         txs.sort()
-        arrivals: dict[int, dict[int, list]] = {}
-        nis = graph.neighbors_in_sector
+        cps = cfg.cms_per_slot
+        arrivals: dict[int, list] = {}   # rx*cms_per_slot+cms -> senders
+        nbrs = graph.neighbor_index
         chan = self._chan_ok
         for cms, nid, target, sid in txs:
-            for rx in nis(nid, beam):
-                rxn = nodes[rx]
-                if rxn.engaged or rx in tx_ids:
+            for rx in nbrs[nid][beam]:
+                if nodes[rx].engaged or rx in tx_ids:
                     continue
                 if chan(nid, rx):
-                    arrivals.setdefault(rx, {}).setdefault(cms, []) \
-                            .append((nid, target, sid))
+                    key = rx * cps + cms
+                    lst = arrivals.get(key)
+                    if lst is None:
+                        arrivals[key] = [nid]
+                    else:
+                        lst.append(nid)
 
         granted = set()
         for cms, nid, target, sid in txs:
-            got = arrivals.get(target, {}).get(cms, [])
-            if len(got) != 1 or got[0][0] != nid:
+            got = arrivals.get(target * cps + cms, ())
+            if len(got) != 1 or got[0] != nid:
                 if len(got) > 1:
                     self.cc_collisions += len(got)
                 continue
@@ -1164,22 +1293,30 @@ class Simulation:
                 self._schedule_attempt(node)
         cap = traffic_start + int(cfg.duration_cap_s * 1e6)
         heap = self._heap
+        pop = heapq.heappop
+        slot_intents = self.slot_intents
+        resolve = (self._resolve_slot_gr if cfg.protocol == "GR-CSMA"
+                   else self._resolve_slot_vl)
+        events = self.events
         while heap and not self.stalled:
-            t, prio, _, payload = heapq.heappop(heap)
+            t, prio, _, payload = pop(heap)
             if t > cap:
                 break
             self.now = t
-            self.events += 1
+            events += 1
             if prio == _EV_DATA_END:
                 self._data_end(payload)
             elif prio == _EV_SLOT:
-                self._resolve_slot(payload)
+                intents = slot_intents.pop(payload, None)
+                if intents:
+                    resolve(payload, intents)
             else:  # wake
                 node = self.nodes[payload]
                 if node.pending == "wake":
                     node.pending = None
                     self._schedule_attempt(node)
                 self._check_stall()
+        self.events = events
         end = max(self.now, traffic_start)
         return self._finalize(traffic_start, end, wall0)
 
@@ -1216,7 +1353,6 @@ class Simulation:
         snapshot = {}
         if cfg.protocol == "VL-ROUTE":
             snapshot = {n.nid: n.routing.snapshot() for n in self.nodes}
-        occupancy = count_occupancy_conflicts(self.res_records, graph)
         self.trace.emit(end, -1, "end",
                         f"delivered={delivered} drops={sum(self.drops.values())}")
         return RunMetrics(
@@ -1239,7 +1375,6 @@ class Simulation:
             cc_collisions=self.cc_collisions,
             handshake_failures=self.handshake_failures,
             commit_aborts=self.commit_aborts,
-            occupancy_conflicts=occupancy,
             stalled=self.stalled,
             conservation_ok=conservation_ok,
             rrs_snapshot=snapshot,

@@ -65,6 +65,7 @@ class SinkEntry:
     mhc: float = INF
     sink_pos: Position | None = None
     last_beta: float | None = None
+    best: float = 0.0    # undiscounted best-sector value behind gamma
 
 
 @dataclass(slots=True)
@@ -95,9 +96,13 @@ class RoutingState:
         self.sinks = sorted(sinks)
         self.n_sectors = n_sectors
         self.cw = cw
+        if b_max < 1:
+            raise ValueError("b_max must be >= 1")
         self.b_max = b_max
         self.link_static = link_static
         self.version = 0
+        # bumps only when an observation moves, not on a recompute
+        self.obs_version = 0
         self.obs: dict[int, NeighborObservation] = {}
         # ascending-id views kept in lockstep with obs for cheap iteration
         self.obs_by_sector: list[list] = [[] for _ in range(n_sectors)]
@@ -113,6 +118,8 @@ class RoutingState:
         self._gmax_cache: dict[int, float] = {}
         # sinks whose stored observations moved since the last recompute
         self._dirty: set[int] = set()
+        # sinks whose last recompute applied a discount other than 1.0
+        self._discounted: set[int] = set()
 
     # -- advertisement consumption -----------------------------------
 
@@ -174,6 +181,7 @@ class RoutingState:
                 entry.sink_pos = rec[2]
                 self._reindex_sink(k)
         self.version += 1
+        self.obs_version += 1
         self._adv_cache = None
         self._gmax_cache.clear()
         return True
@@ -222,55 +230,76 @@ class RoutingState:
     def recompute(self, backlogs):
         """Re-derive (RRS, MHC) for every sink from stored observations.
 
-        Sinks with no dirty observations recompute to the same values,
-        so they are skipped unless the backlog penalty moved.
+        Sinks with no dirty observations keep their hop count and
+        best-sector value, so they are skipped unless the backlog
+        penalty moved, and then only the discount is re-applied.  The
+        penalty can only have moved for a sink with a backlog now or a
+        discount other than 1 at the last recompute.
         """
         changed = False
         worthy = False
         dirty = self._dirty
-        for k in self.sinks:
+        discounted = self._discounted
+        b_max = self.b_max
+        entries = self.entries
+        if dirty or discounted or backlogs:
+            todo = dirty.union(discounted, backlogs)
+        else:
+            todo = ()
+        for k in todo:
             if k == self.node_id:
                 continue
-            entry = self.entries[k]
-            if entry.sink_pos is None:
-                continue  # nothing heard about this sink yet
-            if k not in dirty:
-                if entry.mhc == INF:
-                    continue
-                beta = compute_beta(backlogs.get(k, 0), self.b_max)
+            entry = entries.get(k)
+            if entry is None or entry.sink_pos is None:
+                continue  # not a sink, or nothing heard about it yet
+            stale = k in dirty
+            if not stale and entry.mhc == INF:
+                continue
+            b = backlogs.get(k, 0)
+            # an empty buffer's discount, compute_beta(0, b_max), is 1.0
+            beta = compute_beta(b, b_max) if b else 1.0
+            if not stale:
                 if beta == entry.last_beta:
                     continue
-            else:
-                beta = compute_beta(backlogs.get(k, 0), self.b_max)
-            h_new = INF
-            for j, ob in self._fwd.get(k, ()):
-                rec = ob.table.get(k)
-                if rec is not None and rec[1] < h_new:
-                    h_new = rec[1]
-            if h_new != INF:
-                h_new += 1
-            if h_new == INF:
-                g_new = 0.0
-                entry.last_beta = None
-            else:
-                best = 0.0
-                for sec in self.obs_by_sector:
-                    miss = 1.0
-                    for j, ob in sec:
-                        rec = ob.table.get(k)
-                        if rec is not None and rec[1] < h_new:
-                            miss *= 1.0 - ob.p_link * rec[0]
-                    val = 1.0 - miss
-                    if val > best:
-                        best = val
-                g_new = beta * best
+                # the same product a full re-derivation would form
+                h_new = entry.mhc
+                g_new = beta * entry.best
                 entry.last_beta = beta
+            else:
+                h_new = INF
+                for j, ob in self._fwd.get(k, ()):
+                    rec = ob.table.get(k)
+                    if rec is not None and rec[1] < h_new:
+                        h_new = rec[1]
+                if h_new != INF:
+                    h_new += 1
+                if h_new == INF:
+                    g_new = 0.0
+                    entry.last_beta = None
+                else:
+                    best = 0.0
+                    for sec in self.obs_by_sector:
+                        miss = 1.0
+                        for j, ob in sec:
+                            rec = ob.table.get(k)
+                            if rec is not None and rec[1] < h_new:
+                                miss *= 1.0 - ob.p_link * rec[0]
+                        val = 1.0 - miss
+                        if val > best:
+                            best = val
+                    g_new = beta * best
+                    entry.last_beta = beta
+                    entry.best = best
             if g_new != entry.gamma or h_new != entry.mhc:
                 changed = True
                 if h_new != entry.mhc or (g_new == 0.0) != (entry.gamma == 0.0):
                     worthy = True
                 entry.gamma = g_new
                 entry.mhc = h_new
+            if entry.last_beta is None or entry.last_beta == 1.0:
+                discounted.discard(k)
+            else:
+                discounted.add(k)
         dirty.clear()
         if changed:
             self.version += 1

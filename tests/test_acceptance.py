@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from lanetsim.config import ScenarioConfig
-from lanetsim.engine import run
+from lanetsim.engine import Simulation, count_occupancy_conflicts
 from lanetsim.reliability import (access_prob, delivery_prob_oracle,
                                   link_success_prob, protocol_link_probs,
                                   rrs_fixed_point_oracle, transmit_prob)
@@ -33,11 +33,17 @@ PROTOCOLS = ("VL-ROUTE", "VL-MAC-GEO", "GR-CSMA")
 ALL_RUNS = []   # every RunMetrics the suite produces, for criterion 9
 
 
-def timed_run(**kw):
+def simulate(**kw):
+    """Run one scenario; returns its metrics and the finished Simulation."""
     kw.setdefault("duration_cap_s", SWEEP_CAP)
-    m = run(ScenarioConfig(**kw))
+    sim = Simulation(ScenarioConfig(**kw))
+    m = sim.run()
     ALL_RUNS.append(m)
-    return m
+    return m, sim
+
+
+def timed_run(**kw):
+    return simulate(**kw)[0]
 
 
 def mean_over_seeds(seeds, field, **kw):
@@ -51,16 +57,20 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def grid_sweep():
-    """Mean metrics per (protocol, session count) on the default grid."""
+    """Mean metrics per (protocol, session count) on the default grid,
+    and the reservation conflicts found by sweeping every run's records."""
     t0 = time.perf_counter()
     cells = {}
     conflicts = 0
     for n in SESSION_POINTS:
         for proto in PROTOCOLS:
-            ms = [timed_run(protocol=proto, sessions=n, seed=s,
-                            duration_cap_s=GRID_CAP)
-                  for s in SEEDS10]
-            conflicts += sum(m.occupancy_conflicts for m in ms)
+            ms = []
+            for s in SEEDS10:
+                m, sim = simulate(protocol=proto, sessions=n, seed=s,
+                                  duration_cap_s=GRID_CAP)
+                conflicts += count_occupancy_conflicts(sim.res_records,
+                                                       sim.graph)
+                ms.append(m)
             cells[(proto, n)] = SimpleNamespace(
                 thr=fmean(m.normalized_throughput for m in ms),
                 dup=fmean(m.duplex_ratio for m in ms),

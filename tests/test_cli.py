@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from lanetsim import cli, engine
 from lanetsim.cli import CSV_COLUMNS, main
 
 FAST = ["--set", "sessions=1", "--set", "packets_per_session=5",
@@ -24,6 +25,8 @@ def test_run_emits_json(tmp_path):
     assert doc["generated"] == 5
     assert doc["conservation_ok"] is True
     assert "normalized_throughput" in doc
+    # reservation safety is enforced at the commit gate, not re-counted
+    assert "occupancy_conflicts" not in doc
 
 
 def test_run_emits_csv(tmp_path):
@@ -54,6 +57,16 @@ def test_protocol_override(tmp_path):
 def test_unknown_set_field_exits_one(capsys):
     assert main(["run", "--set", "bogus=1"]) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_error_rate_above_half_fails_validation(capsys, monkeypatch):
+    def no_build(cfg):
+        raise AssertionError("topology built before validation")
+
+    monkeypatch.setattr(engine, "build_topology", no_build)
+    monkeypatch.setattr(cli, "build_topology", no_build)
+    assert main(["run", "--set", "mean_p_e=0.6"]) == 1
+    assert "mean_p_e must lie in [0, 0.5]" in capsys.readouterr().err
 
 
 def test_bad_protocol_value_exits_one():

@@ -1,5 +1,7 @@
 """Event engine: clock arithmetic, channel draws, runs, invariants."""
 import hashlib
+import itertools
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -7,14 +9,16 @@ import pytest
 from lanetsim.config import ScenarioConfig
 from lanetsim.core import Position
 from lanetsim.engine import (Reservation, Simulation, SlotClock,
-                             count_occupancy_conflicts, generate_sessions,
+                             build_topology, count_occupancy_conflicts,
+                             flood_routing_tables, generate_sessions,
                              reservations_conflict, run,
                              sample_link_outcome)
 from lanetsim.reliability import protocol_link_probs, rrs_fixed_point_oracle
 from lanetsim.rng import substream
+from lanetsim.routing import RoutingState
 from lanetsim.topology import ConnectivityGraph
 
-from fleet import chain, lattice, stamp
+from fleet import B_MAX, CW, FLEET, chain, lattice, stamp
 
 
 class ScriptRng:
@@ -130,10 +134,11 @@ def test_sessions_need_a_non_sink():
 def test_two_nodes_deliver_everything(protocol):
     cfg = ScenarioConfig(protocol=protocol, sessions=1, packets_per_session=5,
                          duration_cap_s=2.0, estimation_error=0.0)
-    res = run(cfg, graph=chain(2, p_e=0.0, p_b=0.0))
+    sim = Simulation(cfg, graph=chain(2, p_e=0.0, p_b=0.0))
+    res = sim.run()
     assert res.delivered_total == 5
     assert res.conservation_ok
-    assert res.occupancy_conflicts == 0
+    assert count_occupancy_conflicts(sim.res_records, sim.graph) == 0
     assert sum(res.drops.values()) == 0
     assert 0.0 < res.normalized_throughput <= 1.0
 
@@ -155,6 +160,50 @@ def test_full_duplex_emerges_with_reverse_traffic():
 
 
 # -- warm-up against the fixed-point oracle -----------------------------
+
+
+def flood_one_advert_at_a_time(graph, states, rounds_cap=0):
+    """The flood with a recompute after every single advert."""
+    if rounds_cap <= 0:
+        rounds_cap = graph.n_nodes + 8
+    rounds = 0
+    for _ in range(rounds_cap):
+        adverts = {i: states[i].advertisement() for i in sorted(states)}
+        changed_any = False
+        for i in sorted(states):
+            for j in graph.out_neighbors(i):
+                changed, _ = states[i].update_from_control(adverts[j], {},
+                                                           now=rounds)
+                changed_any = changed_any or changed
+        rounds += 1
+        if not changed_any:
+            break
+    return rounds
+
+
+def fresh_states(graph):
+    return {i: RoutingState(i, graph.positions[i], graph.sinks,
+                            graph.n_sectors, CW, B_MAX,
+                            {j: (1.0 - graph.links[(i, j)].p_e)
+                             * (1.0 - graph.links[(i, j)].p_b)
+                             for j in graph.out_neighbors(i)})
+            for i in range(graph.n_nodes)}
+
+
+FLOOD_GRAPHS = FLEET + [
+    ("desk-grid", build_topology(ScenarioConfig())),
+    ("desk-grid-dark", build_topology(ScenarioConfig(severe_fraction=0.5)))]
+
+
+@pytest.mark.parametrize("graph", [pytest.param(g, id=name)
+                                   for name, g in FLOOD_GRAPHS])
+def test_batched_flood_matches_per_advert_flood(graph):
+    batched = fresh_states(graph)
+    one_by_one = fresh_states(graph)
+    rounds = flood_routing_tables(graph, batched)
+    assert rounds == flood_one_advert_at_a_time(graph, one_by_one)
+    for i in range(graph.n_nodes):
+        assert batched[i].snapshot() == one_by_one[i].snapshot(), i
 
 
 def test_warmup_tables_match_oracle_exactly():
@@ -205,10 +254,37 @@ def test_trace_file_matches_reported_hash(tmp_path):
 
 def test_conservation_and_occupancy_on_lossy_grid():
     for proto in ("VL-ROUTE", "VL-MAC-GEO", "GR-CSMA"):
-        res = run(grid_cfg(protocol=proto, sessions=5, duration_cap_s=0.6))
+        sim = Simulation(grid_cfg(protocol=proto, sessions=5,
+                                  duration_cap_s=0.6))
+        res = sim.run()
         assert res.conservation_ok, proto
-        assert res.occupancy_conflicts == 0, proto
+        assert count_occupancy_conflicts(sim.res_records, sim.graph) == 0, \
+            proto
         assert res.generated == 5 * 200
+
+
+# trace_hash of grid_cfg(protocol=p, sessions=5, duration_cap_s=0.6)
+PINNED_TRACE_HASHES = {
+    "VL-ROUTE":
+        "1f9db8e95a5e4d6325aa8e656413bb11e93d09e2ab1b00d9ab1bc403c34d2fbf",
+    "VL-MAC-GEO":
+        "7dd3b7749161291e188739f1b4c39105abceabed7f4ef151f119fe4f2f39df36",
+    "GR-CSMA":
+        "3f66d2ca23443be6cdca936b771da2124ad7ec3f744e078399e354eff9594c2a",
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(PINNED_TRACE_HASHES))
+def test_pinned_trace_hash(protocol):
+    """The simulated behaviour of a small fixed grid run, per protocol.
+
+    A change that only makes the simulator cheaper must leave every
+    event, and so these hashes, as they are.  A change to the protocol
+    or to the order of its random draws moves them: such a change
+    updates the hashes here and says so in CHANGES.md.
+    """
+    res = run(grid_cfg(protocol=protocol, sessions=5, duration_cap_s=0.6))
+    assert res.trace_hash == PINNED_TRACE_HASHES[protocol]
 
 
 def test_blockage_hurts_throughput():
@@ -268,3 +344,20 @@ def test_spatially_disjoint_chain_pairs_do_not_conflict():
     b = Reservation(1, 2, 3, 0, 2, 0, 100, 1, None)
     assert not reservations_conflict(g.links, a, b)
     assert count_occupancy_conflicts([a, b], g) == 0
+
+
+def test_occupancy_sweep_counts_exactly_the_conflicting_pairs():
+    g = lattice(4, 4, diagonal=True)
+    rng = random.Random(5)
+    pairs = sorted(g.links)
+    records = []
+    for rid in range(300):
+        i, a = rng.choice(pairs)
+        start = rng.randrange(2000)
+        records.append(Reservation(rid, i, a, rng.randrange(4),
+                                   rng.randrange(4), start,
+                                   start + rng.randrange(1, 200), 0, None))
+    brute = sum(reservations_conflict(g.links, p, q)
+                for p, q in itertools.combinations(records, 2))
+    assert brute > 0
+    assert count_occupancy_conflicts(records, g) == brute

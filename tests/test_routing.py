@@ -118,6 +118,20 @@ def test_backlog_discount_applies_without_new_observations():
     assert st.entries[3].gamma == base
 
 
+def test_backlog_only_recompute_equals_full_rederivation():
+    # two identical flooded tables; one re-derives every sink from its
+    # observations, the other only re-applies the backlog discount
+    g = random_graph(20, 41, n_sinks=2)
+    for nid in range(g.n_nodes):
+        short = flooded_states(g)[nid]
+        full = flooded_states(g)[nid]
+        for backlogs in ({k: 37 for k in g.sinks}, {g.sinks[0]: B_MAX},
+                         {}, {g.sinks[-1]: 3}):
+            full._dirty.update(full.sinks)
+            assert short.recompute(backlogs) == full.recompute(backlogs)
+            assert short.snapshot() == full.snapshot(), nid
+
+
 def test_full_buffer_zeroes_gamma_and_is_worthy():
     g = chain(4)
     st = flooded_states(g)[1]
