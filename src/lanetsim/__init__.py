@@ -1,4 +1,4 @@
-"""Packet-level simulator for visible-light ad hoc networks.
+"""A packet-level simulator for visible-light ad hoc networks.
 
 Implements the VL-ROUTE cross-layer routing protocol (reliability-aware
 sector handshakes with full-duplex exchange scheduling) next to two
@@ -8,14 +8,13 @@ discrete-event engine.
 """
 from .config import (PROTOCOLS, ScenarioConfig, SweepSpec, load_scenario,
                      load_sweep)
-from .core import (DataPacket, DirectedLink, PacketKind, Position, distance,
+from .core import (DataPacket, DirectedLink, Position, distance,
                    opposite_sector, sector_of)
 from .engine import (RunMetrics, Simulation, SlotClock, build_topology,
                      flood_routing_tables, generate_sessions, run,
                      sample_link_outcome)
-from .mac import (acceptor_utility, backoff_slots, greedy_next_hop,
-                  initiator_utility, normalized_progress, normalized_rrs,
-                  select_initiator, select_sector, select_session_eta)
+from .mac import (backoff_slots, greedy_next_hop, select_initiator,
+                  select_sector, select_session_eta)
 from .reliability import (access_prob, delivery_prob_oracle,
                           enumerate_forward_routes, link_success_prob,
                           mhc_map, protocol_link_probs, route_reliability,
@@ -30,13 +29,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PROTOCOLS", "ScenarioConfig", "SweepSpec", "load_scenario",
-    "load_sweep", "DataPacket", "DirectedLink", "PacketKind", "Position",
-    "distance", "opposite_sector", "sector_of", "RunMetrics", "Simulation",
-    "SlotClock", "build_topology", "flood_routing_tables",
-    "generate_sessions", "run", "sample_link_outcome", "acceptor_utility",
-    "backoff_slots", "greedy_next_hop", "initiator_utility",
-    "normalized_progress", "normalized_rrs", "select_initiator",
-    "select_sector", "select_session_eta", "access_prob",
+    "load_sweep", "DataPacket", "DirectedLink", "Position", "distance",
+    "opposite_sector", "sector_of", "RunMetrics", "Simulation", "SlotClock",
+    "build_topology", "flood_routing_tables", "generate_sessions", "run",
+    "sample_link_outcome", "backoff_slots", "greedy_next_hop",
+    "select_initiator", "select_sector", "select_session_eta", "access_prob",
     "delivery_prob_oracle", "enumerate_forward_routes",
     "link_success_prob", "mhc_map", "protocol_link_probs",
     "route_reliability", "rrs_fixed_point_oracle", "transmit_prob",

@@ -253,7 +253,7 @@ def _add_common(p, config_required=False):
 
 def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lanetsim",
-                     description="Packet-level simulator for visible-light "
+                     description="A packet-level simulator for visible-light "
                                  "ad hoc networks")
     sub = parser.add_subparsers(dest="command", required=True)
 

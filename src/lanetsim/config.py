@@ -72,6 +72,8 @@ class ScenarioConfig:
                              f"(1..{self.cms_per_slot - 3})")
         if self.acn_window < 1:
             raise ValueError("acn_window must be >= 1")
+        if self.cw + self.acn_window + 1 > self.cms_per_slot:
+            raise ValueError("slot too short for cw + acn_window + RES")
         if self.sessions < 1 or self.packets_per_session < 1:
             raise ValueError("need at least one session and one packet")
         if self.b_max < 1:

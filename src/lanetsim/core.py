@@ -8,27 +8,7 @@ pure geometry function; the rest of the package builds on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
-
-# All engine timestamps are integer microseconds.
-Microseconds = int
-
-
-class PacketKind(Enum):
-    ART = "ART"            # access request to transmit, opens a handshake
-    ACN = "ACN"            # accept notification from the chosen acceptor
-    RES = "RES"            # reservation announcement from the winning initiator
-    DATA = "DATA"
-    ACK = "ACK"
-    BUSY_TONE = "BUSY_TONE"
-    BEACON = "BEACON"      # standalone routing-table advertisement
-
-
-# Kinds that ride the control channel and use the control packet size.
-CONTROL_KINDS = frozenset(
-    {PacketKind.ART, PacketKind.ACN, PacketKind.RES, PacketKind.BEACON}
-)
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -81,27 +61,6 @@ class DirectedLink:
     p_e: float = 0.0       # packet error probability
     p_b: float = 0.0       # blockage probability per transmission
     capacity_bps: float = 10_000_000.0
-
-
-@dataclass(frozen=True)
-class Session:
-    """A unidirectional source -> sink traffic demand."""
-    session_id: int
-    source: int
-    sink: int
-    packets_total: int
-    payload_bytes: int
-
-
-@dataclass
-class Packet:
-    """A transmission unit; control kinds use the configured control size."""
-    kind: PacketKind
-    size_bytes: int
-    src: int
-    dst: int | None = None         # None for sector broadcasts
-    session: int | None = None
-    payload: dict = field(default_factory=dict)
 
 
 @dataclass(slots=True)

@@ -7,11 +7,12 @@ beaming into sector s contends in slots where the schedule faces
 opposite(s).  Within a slot the handshake runs CMS by CMS: requests in
 the backoff window, accept notifications and the reservation
 announcement in the tail.  Data rides a separate channel under
-reservations; the engine refuses to commit a reservation that would
-conflict with an active one (carrier sensing of sustained emissions is
-modeled as reliable), which makes the no-conflicting-data invariant
-structural: the commit gate's guard map is the safety mechanism, and a
-run does not re-check its reservations afterwards.
+reservations.  `Simulation._open_reservation` is the one place a
+reservation is opened, for every protocol, and only after the commit
+gate has refused anything conflicting with an active one (carrier
+sensing of sustained emissions is modeled as reliable).  That makes the
+no-conflicting-data invariant structural: the gate's guard map is the
+safety mechanism, and a run does not re-check its reservations.
 `count_occupancy_conflicts` is the independent post-hoc sweep over a
 run's `res_records`, kept for tests and other verifiers to call.
 
@@ -151,7 +152,7 @@ def flood_routing_tables(graph: ConnectivityGraph, states: dict,
             st = states[i]
             moved = False
             for j in graph.out_neighbors(i):
-                if st.observe(adverts[j], now=rounds):
+                if st.observe(adverts[j]):
                     moved = True
             if moved and st.recompute({})[0]:
                 changed_any = True
@@ -167,12 +168,10 @@ class TraceRecorder:
     def __init__(self, path=None):
         self._hash = sha256()
         self._fh = open(path, "w") if path else None
-        self.events = 0
 
     def emit(self, t: int, node: int, kind: str, detail: str = ""):
         line = f"{t} {node} {kind} {detail}\n"
         self._hash.update(line.encode())
-        self.events += 1
         if self._fh:
             self._fh.write(line)
 
@@ -306,8 +305,6 @@ class Simulation:
     def __init__(self, cfg: ScenarioConfig, graph: ConnectivityGraph | None = None,
                  trace_path=None):
         cfg.validate()
-        if cfg.cw + cfg.acn_window + 1 > cfg.cms_per_slot:
-            raise ValueError("slot too short for cw + acn_window + RES")
         self.cfg = cfg
         self.graph = graph if graph is not None else build_topology(cfg)
         self.clock = SlotClock.from_config(cfg)
@@ -320,7 +317,7 @@ class Simulation:
         self._heap: list = []
         self._seq = 0
         self.slot_intents: dict[int, list] = {}
-        self.active_res: dict[int, Reservation] = {}
+        self._open_res = 0      # reservations whose exchange has not ended
         self.res_records: list[Reservation] = []
         self._res_seq = 0
         self.last_progress = 0
@@ -357,10 +354,10 @@ class Simulation:
         for s in self.sessions:
             self.source_sessions.setdefault(s["source"], []).append(s["sid"])
         self._next_seq = {s["sid"]: 0 for s in self.sessions}
-        self.pool = {s["sid"]: s["packets"] for s in self.sessions}
+        self.unsent = {s["sid"]: s["packets"] for s in self.sessions}
 
-        self.nodes = [MacNode(i, g.positions[i], cfg.b_max,
-                              substream(cfg.seed, "backoff", i), self.sess_sink)
+        self.nodes = [MacNode(i, cfg.b_max, substream(cfg.seed, "backoff", i),
+                              self.sess_sink)
                       for i in range(g.n_nodes)]
         for n in self.nodes:
             n.csma_cw = cfg.csma_cw_min
@@ -457,7 +454,7 @@ class Simulation:
         self._chan_cache[i * self._nn + j] = c
         return c
 
-    def _chan_ok(self, i: int, j: int, kind: str = "control") -> bool:
+    def _chan_ok(self, i: int, j: int) -> bool:
         # inlined sample_link_outcome: same draws in the same order
         c = self._chan_cache.get(i * self._nn + j)
         if c is None:
@@ -522,20 +519,19 @@ class Simulation:
             guard.get(a * ns + a_beam, 0) > now
 
     def _refill(self, node: MacNode):
-        """Top a source's queues up from its remaining-packet pools."""
+        """Top a source's queues up from its sessions' unsent packets."""
         sids = self.source_sessions.get(node.nid)
         if not sids:
             return
         for sid in sids:
-            while self.pool[sid] > 0 and node.free_space() > 0:
+            while self.unsent[sid] > 0 and node.free_space() > 0:
                 seq = self._next_seq[sid]
                 self._next_seq[sid] = seq + 1
-                self.pool[sid] -= 1
+                self.unsent[sid] -= 1
                 node.enqueue(sid, DataPacket(sid, seq))
 
-    def _drop(self, node: MacNode, sid: int, cause: str, from_queue=True):
-        if from_queue:
-            node.dequeue(sid)
+    def _drop(self, node: MacNode, sid: int, cause: str):
+        node.dequeue(sid)
         self.drops[cause] += 1
         self.last_progress = self.now
         self.trace.emit(self.now, node.nid, "drop", f"s={sid} cause={cause}")
@@ -904,7 +900,7 @@ class Simulation:
                 state = rxn.routing
                 moved = False
                 for p in payloads:
-                    if state.observe(p["adv"], now=t_slot):
+                    if state.observe(p["adv"]):
                         moved = True
                 if moved:
                     _, worthy = state.recompute(rxn.backlog_by_sink())
@@ -1038,7 +1034,6 @@ class Simulation:
                     beam: int, g: int, q_i: int, q_j):
         """Reservation gate: refuse anything conflicting with active ones."""
         node_i = self.nodes[i_star]
-        node_a = self.nodes[rx]
         if self._commit_conflict(i_star, rx, beam, g):
             self.commit_aborts += 1
             busy = self._dc_busy_until(i_star, beam)
@@ -1047,23 +1042,37 @@ class Simulation:
             self._schedule_attempt(node_i)
             return None
         start = t_slot + (cms + 1) * self.clock.cms_us
+        return self._open_reservation(t_slot, i_star, rx, beam, g, start,
+                                      q_i, q_j, False)
+
+    def _open_reservation(self, t_slot: int, i: int, a: int, i_beam: int,
+                          a_beam: int, start: int, fwd: int, rev,
+                          delivered: bool) -> Reservation:
+        """Open an exchange that has passed the commit gate.
+
+        The acceptor's end joins the busy map only once its side of the
+        reservation is announced: at commit for GR-CSMA's grant
+        (`delivered`), on RES receipt for the VL handshake.
+        """
         self._res_seq += 1
-        res = Reservation(self._res_seq, i_star, rx, beam, g, start,
-                          start + self.exchange_us, q_i, q_j)
-        self.active_res[res.rid] = res
+        res = Reservation(self._res_seq, i, a, i_beam, a_beam, start,
+                          start + self.exchange_us, fwd, rev, delivered)
         self.res_records.append(res)
-        self._fold_busy(self._busy, i_star, beam, res.end)
-        self._fold_busy(self._guard, i_star, beam, res.end)
-        self._fold_busy(self._guard, rx, g, res.end)
-        node_i.engaged = True
-        node_a.engaged = True
+        self._open_res += 1
+        self._fold_busy(self._busy, i, i_beam, res.end)
+        if delivered:
+            self._fold_busy(self._busy, a, a_beam, res.end)
+        self._fold_busy(self._guard, i, i_beam, res.end)
+        self._fold_busy(self._guard, a, a_beam, res.end)
+        self.nodes[i].engaged = True
+        self.nodes[a].engaged = True
         self._push(res.end, _EV_DATA_END, res)
         self.exchanges_total += 1
-        if q_j is not None:
+        if rev is not None:
             self.duplex_exchanges += 1
         self.last_progress = t_slot
-        self.trace.emit(t_slot, i_star, "commit",
-                        f"with={rx} fwd={q_i} rev={q_j} end={res.end}")
+        self.trace.emit(t_slot, i, "commit",
+                        f"with={a} fwd={fwd} rev={rev} end={res.end}")
         return res
 
     # -- GR-CSMA slot ------------------------------------------------
@@ -1171,30 +1180,15 @@ class Simulation:
             if self._commit_conflict(nid, target, beam, g):
                 self.commit_aborts += 1
                 continue
+            # the grant is drawn only once the gate has passed, so a
+            # refused commit leaves the link's stream untouched
             if not self._chan_ok(target, nid):
                 continue  # grant lost; the sender will back off
-            start = t_slot + (cms + 2) * clock.cms_us
-            self._res_seq += 1
-            res = Reservation(self._res_seq, nid, target, beam, g, start,
-                              start + self.exchange_us, sid, rev_sid, True)
-            self.active_res[res.rid] = res
-            self.res_records.append(res)
-            self._fold_busy(self._busy, nid, beam, res.end)
-            self._fold_busy(self._busy, target, g, res.end)
-            self._fold_busy(self._guard, nid, beam, res.end)
-            self._fold_busy(self._guard, target, g, res.end)
-            node.engaged = True
-            rxn.engaged = True
+            self._open_reservation(t_slot, nid, target, beam, g,
+                                   t_slot + (cms + 2) * clock.cms_us,
+                                   sid, rev_sid, True)
             node.csma_cw = cfg.csma_cw_min
-            self._push(res.end, _EV_DATA_END, res)
-            self.exchanges_total += 1
-            if rev_sid is not None:
-                self.duplex_exchanges += 1
             granted.add(nid)
-            self.last_progress = t_slot
-            self.trace.emit(t_slot, nid, "commit",
-                            f"with={target} fwd={sid} rev={rev_sid} "
-                            f"end={res.end}")
 
         for cms, nid, target, sid in txs:
             if nid in granted:
@@ -1221,11 +1215,12 @@ class Simulation:
     # -- data phase --------------------------------------------------
 
     def _transfer(self, res: Reservation, src: MacNode, dst: MacNode,
-                  sid: int, data_link, ack_link) -> None:
+                  sid: int) -> None:
+        """One data frame src -> dst and its acknowledgement back."""
         pkt = src.queues[sid][0]
         ok = (res.res_delivered
-              and self._chan_ok(data_link[0], data_link[1], "data")
-              and self._chan_ok(ack_link[0], ack_link[1]))
+              and self._chan_ok(src.nid, dst.nid)
+              and self._chan_ok(dst.nid, src.nid))
         if ok:
             src.dequeue(sid)
             self.last_progress = self.now
@@ -1253,16 +1248,12 @@ class Simulation:
                 self._drop(src, sid, "retry-limit")
 
     def _data_end(self, res: Reservation):
-        self.active_res.pop(res.rid, None)
+        self._open_res -= 1
         node_i = self.nodes[res.initiator]
         node_a = self.nodes[res.acceptor]
-        self._transfer(res, node_i, node_a, res.fwd_sid,
-                       (res.initiator, res.acceptor),
-                       (res.acceptor, res.initiator))
+        self._transfer(res, node_i, node_a, res.fwd_sid)
         if res.rev_sid is not None and res.res_delivered:
-            self._transfer(res, node_a, node_i, res.rev_sid,
-                           (res.acceptor, res.initiator),
-                           (res.initiator, res.acceptor))
+            self._transfer(res, node_a, node_i, res.rev_sid)
         if self.cfg.protocol == "VL-ROUTE":
             for n in (node_i, node_a):
                 _, worthy = n.routing.recompute(n.backlog_by_sink())
@@ -1276,7 +1267,7 @@ class Simulation:
     # -- run loop ----------------------------------------------------
 
     def _check_stall(self):
-        if not self.active_res and \
+        if not self._open_res and \
                 self.now - self.last_progress > self._stall_us:
             self.stalled = True
 
@@ -1335,7 +1326,7 @@ class Simulation:
                 else:
                     in_flight += n
         for s in self.sessions:
-            left = self.pool[s["sid"]]
+            left = self.unsent[s["sid"]]
             if not left:
                 continue
             if reach[s["sink"]][s["source"]] == INF:

@@ -1,57 +1,28 @@
 """Medium-access decision logic and the per-node runtime container.
 
-Pure functions here compute the initiator and acceptor utilities of the
-handshake MAC: an initiator scores each sector by summing, over its
+The pure functions here are the node-local choices of the handshake
+MAC: the best sector, the best weighted differential backlog among
+candidate sessions (how an acceptor picks each direction of an
+exchange, the full-duplex reverse session included), the initiator an
+acceptor answers, the utility-tilted backoff draw, and GR-CSMA's
+greedy next hop.
+
+The utilities those choices rank are computed in engine.py from tables
+built once per run.  An initiator scores a sector by summing, over its
 backlogged sessions and the forward-progress neighbors in that sector,
-backlog x normalized progress x normalized RRS; an acceptor scores each
-heard initiator by the best weighted differential backlog in each
-direction times link capacity, which is also how the full-duplex reverse
-session gets picked.  The geographic baseline uses the same shapes with
-the RRS factor pinned to 1.  Sequencing (who transmits when) lives in
-engine.py; everything here is a local decision a node could make from
-its own tables.
+backlog x normalized progress x normalized RRS (`Simulation._sector_terms`
+and `_vl_choose_eval`); an acceptor scores a heard initiator by the
+best weighted differential backlog in each direction times that
+direction's link capacity (`_eval_pair`).  The geographic baseline uses
+the same shapes with the RRS factor pinned to 1.  Sequencing (who
+transmits when) lives in engine.py too; everything here is a local
+decision a node could make from its own tables.
 """
 from __future__ import annotations
 
 from collections import deque
 
 from .core import Position, distance
-
-
-def normalized_progress(i_pos: Position, j_pos: Position,
-                        k_pos: Position) -> float:
-    """(d_ik - d_jk) / d_ij; positive only when j is closer to the sink."""
-    d_ij = distance(i_pos, j_pos)
-    if d_ij == 0.0:
-        raise ValueError("normalized progress undefined for coincident nodes")
-    return (distance(i_pos, k_pos) - distance(j_pos, k_pos)) / d_ij
-
-
-def normalized_rrs(gamma_j: float, neighborhood_gammas) -> float:
-    """gamma_j / max over the neighborhood; 0 when the whole set is 0."""
-    best = 0.0
-    for g in neighborhood_gammas:
-        if g > best:
-            best = g
-    if best <= 0.0:
-        return 0.0
-    return gamma_j / best
-
-
-def initiator_utility(entries) -> float:
-    """Sector utility: sum of backlog * sum(progress * rrs) over sessions.
-
-    `entries` is an iterable of (backlog, candidates) with candidates an
-    iterable of (normalized_progress, normalized_rrs) for the
-    forward-progress neighbors in the sector under evaluation.
-    """
-    total = 0.0
-    for backlog, candidates in entries:
-        acc = 0.0
-        for prog, nrrs in candidates:
-            acc += prog * nrrs
-        total += backlog * acc
-    return total
 
 
 def select_sector(utilities) -> int | None:
@@ -84,12 +55,6 @@ def select_session_eta(options):
     if best_sid is None:
         return None, 0.0
     return best_sid, best_eta
-
-
-def acceptor_utility(eta_fwd: float, c_fwd: float, eta_rev: float,
-                     c_rev: float) -> float:
-    """Capacity-weighted sum of the two directional etas."""
-    return eta_fwd * c_fwd + eta_rev * c_rev
 
 
 def select_initiator(candidates):
@@ -161,20 +126,17 @@ def greedy_next_hop(self_pos: Position, sink_pos: Position, neighbors):
 class MacNode:
     """Mutable per-node runtime shared by all three protocol stacks."""
 
-    __slots__ = ("nid", "pos", "b_max", "engaged", "queues", "gr_order",
-                 "pool", "total_q", "routing", "rng", "defer_until",
-                 "pending", "csma_cw", "csma_residual", "beacon_sectors",
-                 "sess_sink", "q_version", "_sids_cache", "_bls_cache")
+    __slots__ = ("nid", "b_max", "engaged", "queues", "gr_order", "total_q",
+                 "routing", "rng", "defer_until", "pending", "csma_cw",
+                 "csma_residual", "beacon_sectors", "sess_sink", "q_version",
+                 "_sids_cache", "_bls_cache")
 
-    def __init__(self, nid: int, pos: Position, b_max: int, rng,
-                 sess_sink: dict):
+    def __init__(self, nid: int, b_max: int, rng, sess_sink: dict):
         self.nid = nid
-        self.pos = pos
         self.b_max = b_max
         self.engaged = False
         self.queues: dict[int, deque] = {}
         self.gr_order: deque[int] = deque()
-        self.pool: dict[int, int] = {}
         self.total_q = 0
         self.routing = None
         self.rng = rng
@@ -228,9 +190,6 @@ class MacNode:
         self.total_q += 1
         self.q_version += 1
 
-    def head(self, sid: int):
-        return self.queues[sid][0]
-
     def dequeue(self, sid: int):
         pkt = self.queues[sid].popleft()
         self.total_q -= 1
@@ -242,7 +201,7 @@ class MacNode:
         return pkt
 
     def gr_head_sid(self) -> int | None:
-        """Session of the oldest queued packet (GR-CSMA service order)."""
+        """The session of the oldest queued packet (GR-CSMA service order)."""
         while self.gr_order:
             sid = self.gr_order[0]
             q = self.queues.get(sid)

@@ -73,12 +73,10 @@ class NeighborObservation:
     """What a node has heard from one neighbor."""
     neighbor: int
     position: Position
-    sector: int          # sector of the neighbor as seen from the owner
     reverse_sector: int  # sector of the owner as seen from the neighbor
     table: dict = field(default_factory=dict)   # sink -> (gamma, mhc, pos)
     sector_counts: tuple = ()
     p_link: float = 0.0  # owner's estimated hop success prob to this neighbor
-    last_heard: int = 0
 
 
 class RoutingState:
@@ -123,7 +121,7 @@ class RoutingState:
 
     # -- advertisement consumption -----------------------------------
 
-    def observe(self, advert: dict, now: int = 0) -> bool:
+    def observe(self, advert: dict) -> bool:
         """Fold one overheard advertisement in without recomputing.
 
         Returns True when anything the table derivation depends on
@@ -139,7 +137,7 @@ class RoutingState:
             pos = advert["position"]
             sec = sector_of(self.position, pos, self.n_sectors)
             rsec = sector_of(pos, self.position, self.n_sectors)
-            ob = NeighborObservation(j, pos, sec, rsec)
+            ob = NeighborObservation(j, pos, rsec)
             self.obs[j] = ob
             lst = self.obs_by_sector[sec]
             lst.append((j, ob))
@@ -147,7 +145,6 @@ class RoutingState:
             self._index_forward(ob)
         tbl = advert["table"]
         counts = advert["sector_counts"]
-        ob.last_heard = now
         if not fresh and ob.table is tbl and ob.sector_counts is counts:
             # an unchanged sender re-serves the cached advert object
             return False
@@ -186,9 +183,9 @@ class RoutingState:
         self._gmax_cache.clear()
         return True
 
-    def update_from_control(self, advert: dict, backlogs, now: int = 0):
+    def update_from_control(self, advert: dict, backlogs):
         """Observe plus immediate recompute; returns (changed, worthy)."""
-        if not self.observe(advert, now):
+        if not self.observe(advert):
             return False, False
         return self.recompute(backlogs)
 

@@ -9,7 +9,6 @@ single geometry can carry different channel configurations.
 from __future__ import annotations
 
 import json
-import math
 import random
 
 from .core import DirectedLink, Position, distance, sector_of
@@ -89,9 +88,6 @@ class ConnectivityGraph:
 
     def sector_neighbor_count(self, i: int, sector: int) -> int:
         return len(self.neighbor_index[i][sector])
-
-    def link(self, i: int, j: int) -> DirectedLink | None:
-        return self.links.get((i, j))
 
     def is_sink(self, i: int) -> bool:
         return i in self.sink_set

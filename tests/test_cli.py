@@ -8,6 +8,7 @@ import pytest
 
 from lanetsim import cli, engine
 from lanetsim.cli import CSV_COLUMNS, main
+from lanetsim.config import ScenarioConfig, SweepSpec
 
 FAST = ["--set", "sessions=1", "--set", "packets_per_session=5",
         "--set", "duration_cap_s=0.2"]
@@ -67,6 +68,21 @@ def test_error_rate_above_half_fails_validation(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_topology", no_build)
     assert main(["run", "--set", "mean_p_e=0.6"]) == 1
     assert "mean_p_e must lie in [0, 0.5]" in capsys.readouterr().err
+
+
+def test_slot_too_short_fails_validation(capsys, monkeypatch):
+    # cw 5 + acn_window 3 + RES needs 9 CMS; the default slot has 8
+    def no_build(cfg):
+        raise AssertionError("topology built before validation")
+
+    monkeypatch.setattr(engine, "build_topology", no_build)
+    monkeypatch.setattr(cli, "build_topology", no_build)
+    assert main(["run", "--set", "acn_window=3"]) == 1
+    assert "slot too short for cw + acn_window + RES" in \
+        capsys.readouterr().err
+    spec = SweepSpec("sessions", [1.0], base=ScenarioConfig(acn_window=3))
+    with pytest.raises(ValueError, match="slot too short"):
+        spec.validate()
 
 
 def test_bad_protocol_value_exits_one():

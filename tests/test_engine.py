@@ -172,8 +172,7 @@ def flood_one_advert_at_a_time(graph, states, rounds_cap=0):
         changed_any = False
         for i in sorted(states):
             for j in graph.out_neighbors(i):
-                changed, _ = states[i].update_from_control(adverts[j], {},
-                                                           now=rounds)
+                changed, _ = states[i].update_from_control(adverts[j], {})
                 changed_any = changed_any or changed
         rounds += 1
         if not changed_any:

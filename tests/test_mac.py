@@ -1,42 +1,97 @@
-"""Access-decision functions and the per-node queue container."""
+"""Access decisions, the utilities the engine ranks, and the queues."""
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from lanetsim.config import ScenarioConfig
 from lanetsim.core import DataPacket, Position
-from lanetsim.mac import (MacNode, acceptor_utility, backoff_slots,
-                          greedy_next_hop, initiator_utility,
-                          normalized_progress, normalized_rrs,
+from lanetsim.engine import Simulation
+from lanetsim.mac import (MacNode, backoff_slots, greedy_next_hop,
                           select_initiator, select_sector,
                           select_session_eta)
+from lanetsim.topology import ConnectivityGraph
+
+from fleet import stamp
 
 P = Position
 
 
-def test_normalized_progress_values():
-    assert normalized_progress(P(0, 0), P(1, 0), P(2, 0)) == 1.0
-    assert normalized_progress(P(1, 0), P(0, 0), P(2, 0)) == -1.0
-    sideways = normalized_progress(P(0, 0), P(0, 1), P(2, 0))
-    assert sideways == pytest.approx(2.0 - 5 ** 0.5)
+def hand_graph(positions, sinks):
+    return stamp(ConnectivityGraph([P(x, y) for x, y in positions],
+                                   sinks=sinks, n_sectors=4, range_m=2.5,
+                                   area_side_m=6.0), p_e=0.0, p_b=0.0)
 
 
-def test_normalized_progress_rejects_coincident():
-    with pytest.raises(ValueError):
-        normalized_progress(P(1, 1), P(1, 1), P(0, 0))
+def fill(node, sid, n):
+    for seq in range(n):
+        node.enqueue(sid, DataPacket(sid, seq))
 
 
-def test_normalized_rrs():
-    assert normalized_rrs(0.3, [0.6, 0.2]) == 0.5
-    assert normalized_rrs(0.6, [0.6, 0.2]) == 1.0
-    assert normalized_rrs(0.0, [0.0, 0.0]) == 0.0
+# -- utilities, as the engine computes them ----------------------------
 
 
-def test_initiator_utility_sums_backlog_weighted_candidates():
-    entries = [(2, [(0.5, 1.0), (0.25, 0.8)]),
-               (1, [(1.0, 0.5)])]
-    assert initiator_utility(entries) == pytest.approx(2 * 0.7 + 0.5)
-    assert initiator_utility([]) == 0.0
+def test_progress_table_is_normalized_and_forward_only():
+    # 0 at the origin; 1 straight toward sink 4, 5 obliquely toward it,
+    # 2 sideways and 3 backward
+    g = hand_graph([(0, 0), (2, 0), (0, 2), (-2, 0), (4, 0), (2, 1.5)],
+                   sinks=[4])
+    sim = Simulation(ScenarioConfig(protocol="VL-MAC-GEO", sessions=1),
+                     graph=g)
+    # (d_ik - d_jk) / d_ij: (4 - 2) / 2 and (4 - 2.5) / 2.5
+    assert sim.prog[(0, 1)] == {4: 1.0}
+    assert sim.prog[(0, 5)] == {4: pytest.approx(0.6)}
+    assert (0, 2) not in sim.prog
+    assert (0, 3) not in sim.prog
+    assert sim.cand[0][4] == [[(1, 1.0), (5, sim.prog[(0, 5)][4])],
+                              [], [], []]
+
+
+def test_sector_utility_sums_backlog_progress_and_normalized_rrs():
+    # two forward neighbors of node 0 in sector 0; node 2's last hop is
+    # lossy, so its RRS is below node 1's
+    g = hand_graph([(0, 0), (2, 0.5), (2, -0.5), (4, 0)], sinks=[3])
+    g.links[(2, 3)].p_e = 0.5
+    sim = Simulation(ScenarioConfig(protocol="VL-ROUTE", sessions=2,
+                                    estimation_error=0.0), graph=g)
+    node = sim.nodes[0]
+    fill(node, 0, 3)
+    fill(node, 1, 2)
+    obs = node.routing.obs
+    g1, g2 = obs[1].table[3][0], obs[2].table[3][0]
+    assert 0.0 < g2 < g1
+    d_j = math.hypot(2, 0.5)
+    prog = (4 - d_j) / d_j
+    gmax = max(g1, g2)
+    per_packet = prog * (g1 / gmax) + prog * (g2 / gmax)
+    sector, util = sim._vl_choose_eval(node)
+    assert sector == 0
+    assert util == pytest.approx(3 * per_packet + 2 * per_packet)
+
+
+def test_pair_utility_is_capacity_weighted_eta_sum():
+    # sinks at both ends: session 0 runs 1 -> 2 toward sink 3, session 1
+    # runs 2 -> 1 toward sink 0, so the pair carries a duplex exchange
+    g = hand_graph([(0, 0), (2, 0), (4, 1), (6, 0)], sinks=[0, 3])
+    g.links[(1, 2)].capacity_bps = 8e6
+    g.links[(2, 1)].capacity_bps = 3e6
+    sim = Simulation(ScenarioConfig(protocol="VL-MAC-GEO", sessions=2),
+                     graph=g)
+    sim.sess_sink.update({0: 3, 1: 0})
+    i, j = sim.nodes[1], sim.nodes[2]
+    fill(i, 0, 3)
+    fill(j, 0, 1)
+    fill(j, 1, 4)
+    d_ij = math.hypot(2, 1)
+    eta_fwd = (4 - d_ij) / d_ij * (3 - 1)
+    eta_rev = (math.hypot(4, 1) - 2) / d_ij * (4 - 0)
+    q_i, q_j, u = sim._eval_pair(j, sim._art_payload(i), j.q_version, 0)
+    assert (q_i, q_j) == (0, 1)
+    assert u == pytest.approx(eta_fwd * 8e6 + eta_rev * 3e6)
+
+
+# -- node-local choices ----------------------------------------------------
 
 
 def test_select_sector_prefers_low_index_on_ties():
@@ -51,11 +106,6 @@ def test_select_session_eta():
     assert select_session_eta([(2, 1.0, 5, 3), (1, 1.0, 4, 2)]) == (1, 2.0)
     assert select_session_eta([(1, 1.0, 2, 5)]) == (None, 0.0)
     assert select_session_eta([]) == (None, 0.0)
-
-
-def test_acceptor_utility_is_capacity_weighted_sum():
-    assert acceptor_utility(2.0, 10.0, 1.0, 5.0) == 25.0
-    assert acceptor_utility(0.0, 10.0, 0.0, 5.0) == 0.0
 
 
 def test_select_initiator_ties_to_lowest_id():
@@ -138,7 +188,7 @@ def test_greedy_next_hop_requires_strict_improvement():
 
 
 def make_node(b_max=4):
-    return MacNode(0, P(0, 0), b_max, random.Random(3),
+    return MacNode(0, b_max, random.Random(3),
                    sess_sink={1: 10, 2: 10, 3: 20})
 
 
