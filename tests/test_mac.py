@@ -48,19 +48,40 @@ def test_progress_table_is_normalized_and_forward_only():
                               [], [], []]
 
 
-def test_sector_utility_sums_backlog_progress_and_normalized_rrs():
-    # two forward neighbors of node 0 in sector 0; node 2's last hop is
-    # lossy, so its RRS is below node 1's
+def rrs_sim(p_e_last_hop):
+    # two forward neighbors of node 0 in sector 0, both reaching sink 3;
+    # node 2's last hop loses p_e_last_hop of its packets
     g = hand_graph([(0, 0), (2, 0.5), (2, -0.5), (4, 0)], sinks=[3])
-    g.links[(2, 3)].p_e = 0.5
-    sim = Simulation(ScenarioConfig(protocol="VL-ROUTE", sessions=2,
-                                    estimation_error=0.0), graph=g)
+    g.links[(2, 3)].p_e = p_e_last_hop
+    return Simulation(ScenarioConfig(protocol="VL-ROUTE", sessions=2,
+                                     estimation_error=0.0), graph=g)
+
+
+def test_normalized_rrs():
+    # each candidate's progress is weighted by gamma_j / gamma_max: the best
+    # candidate counts in full, a lossier one by its share of the best RRS
+    prog = (4 - math.hypot(2, 0.5)) / math.hypot(2, 0.5)
+    even = rrs_sim(0.0)
+    fill(even.nodes[0], 0, 1)
+    assert even._vl_choose_eval(even.nodes[0]) == (0, pytest.approx(2 * prog))
+    sim = rrs_sim(0.5)
+    obs = sim.nodes[0].routing.obs
+    g1, g2 = obs[1].table[3][0], obs[2].table[3][0]
+    assert 0.0 < g2 < g1
+    fill(sim.nodes[0], 0, 1)
+    sector, util = sim._vl_choose_eval(sim.nodes[0])
+    assert sector == 0
+    assert util == pytest.approx(prog * (1.0 + g2 / g1))
+    assert util < 2 * prog
+
+
+def test_initiator_utility_sums_backlog_weighted_candidates():
+    sim = rrs_sim(0.5)
     node = sim.nodes[0]
     fill(node, 0, 3)
     fill(node, 1, 2)
     obs = node.routing.obs
     g1, g2 = obs[1].table[3][0], obs[2].table[3][0]
-    assert 0.0 < g2 < g1
     d_j = math.hypot(2, 0.5)
     prog = (4 - d_j) / d_j
     gmax = max(g1, g2)
