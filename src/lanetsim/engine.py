@@ -7,12 +7,25 @@ beaming into sector s contends in slots where the schedule faces
 opposite(s).  Within a slot the handshake runs CMS by CMS: requests in
 the backoff window, accept notifications and the reservation
 announcement in the tail.  Data rides a separate channel under
-reservations.  `Simulation._open_reservation` is the one place a
-reservation is opened, for every protocol, and only after the commit
-gate has refused anything conflicting with an active one (carrier
-sensing of sustained emissions is modeled as reliable).  That makes the
-no-conflicting-data invariant structural: the gate's guard map is the
-safety mechanism, and a run does not re-check its reservations.
+reservations.
+
+Each protocol resolves a slot in phases.  Its resolver
+(`Simulation._resolve_slot_vl`, `_resolve_slot_gr`) gates the slot's
+intents and builds their requests, with the memo and busy-map lookups
+inlined: that loop runs once per intent, the hottest of a run.  Shared
+phases follow: `_broadcast` delivers the requests to idle listeners,
+one channel draw per link; `_enter_slot` registers every intent, a
+retry one super-slot later among them; `_open_reservation` opens every
+exchange.  VL-ROUTE and VL-MAC-GEO decode per CMS and answer
+(`_vl_accept`), then run the ACN / RES tail (`_vl_tail`, `_vl_hear`);
+GR-CSMA grants what each target decoded alone (`_gr_grant`) and backs
+off the rest (`_gr_fail`).
+
+A reservation opens only after the commit gate has refused anything
+conflicting with an active one (carrier sensing of sustained emissions
+is modeled as reliable).  That makes the no-conflicting-data invariant
+structural: the gate's guard map is the safety mechanism, and a run
+does not re-check its reservations.
 `count_occupancy_conflicts` is the independent post-hoc sweep over a
 run's `res_records`, kept for tests and other verifiers to call.
 
@@ -362,7 +375,6 @@ class Simulation:
         for n in self.nodes:
             n.csma_cw = cfg.csma_cw_min
 
-        self._link_rng: dict[tuple[int, int], object] = {}
         self._greedy_memo: dict[tuple[int, int], int | None] = {}
         # (nid, sink) -> (routing obs_version, _sector_terms value)
         self._terms_cache: dict[tuple[int, int], tuple] = {}
@@ -440,17 +452,10 @@ class Simulation:
         self._seq += 1
         heapq.heappush(self._heap, (t, prio, self._seq, payload))
 
-    def _link_stream(self, i: int, j: int):
-        r = self._link_rng.get((i, j))
-        if r is None:
-            r = substream(self.cfg.seed, "chan", i, j)
-            self._link_rng[(i, j)] = r
-        return r
-
     def _chan_entry(self, i: int, j: int) -> tuple:
         """(draw, p_b, p_e) for link i -> j, cached under i*n_nodes+j."""
         lk = self.graph.links[(i, j)]
-        c = (self._link_stream(i, j).random, lk.p_b, lk.p_e)
+        c = (substream(self.cfg.seed, "chan", i, j).random, lk.p_b, lk.p_e)
         self._chan_cache[i * self._nn + j] = c
         return c
 
@@ -466,17 +471,21 @@ class Simulation:
             return False
         return True
 
-    def _slot_list(self, t_slot: int) -> list:
-        """The intents registered for a slot, scheduling it on first use."""
+    def _enter_slot(self, t_slot: int, kind: str, nids) -> None:
+        """Register the nodes' intents for a slot, scheduling it on first use.
+
+        A retry enters the same sector's slot one super-slot later without
+        re-planning; a plan that changed meanwhile fails on arrival.
+        """
         lst = self.slot_intents.get(t_slot)
         if lst is None:
             lst = []
             self.slot_intents[t_slot] = lst
             self._push(t_slot, _EV_SLOT, t_slot)
-        return lst
-
-    def _register_slot(self, t_slot: int, kind: str, nid: int):
-        self._slot_list(t_slot).append((kind, nid))
+        nodes = self.nodes
+        for nid in nids:
+            nodes[nid].pending = "slot"
+            lst.append((kind, nid))
 
     def _greedy(self, i: int, k: int):
         key = (i, k)
@@ -627,52 +636,34 @@ class Simulation:
         self._terms_cache[(node.nid, k)] = (ver, terms)
         return terms
 
-    def _fast_retry(self, node: MacNode, t_slot: int, kind: str):
-        """Re-enter the same sector's slot one super-slot later.
-
-        Skips re-planning; the intent is validated on arrival, so a plan
-        that changed in the meantime just falls through to a reschedule.
-        """
-        self._register_slot(t_slot + self.clock.super_us, kind, node.nid)
-        node.pending = "slot"
-
     def _schedule_attempt(self, node: MacNode):
         """Plan the node's next control-channel action, if any."""
         if node.engaged or node.pending is not None:
             return
-        clock = self.clock
-        not_before = max(self.now + 1, node.defer_until)
+        facing = None
         if self.cfg.protocol == "GR-CSMA":
+            kind = "gr"
             sid = node.gr_head_sid()
-            while sid is not None:
+            while sid is not None and facing is None:
                 k = self.sess_sink[sid]
                 target = self._greedy(node.nid, k)
                 if target is None:
                     self._drop_sink_packets(node, k)
                     sid = node.gr_head_sid()
-                    continue
-                lk = self.graph.links[(node.nid, target)]
-                t = clock.next_aligned(not_before, lk.sector_at_rx)
-                self._register_slot(t, "gr", node.nid)
-                node.pending = "slot"
-                return
-            return
-        plan = self._attempt(node)[2]
-        if plan is not None:
-            s_star, _ = plan
-            t = clock.next_aligned(not_before,
-                                   opposite_sector(s_star, clock.n_sectors))
-            self._register_slot(t, "art", node.nid)
-            node.pending = "slot"
-            return
-        if node.beacon_sectors:
-            s_b = node.beacon_sectors[0]
-            t = clock.next_aligned(not_before,
-                                   opposite_sector(s_b, clock.n_sectors))
-            self._register_slot(t, "beacon", node.nid)
-            node.pending = "slot"
-            return
-        if node.total_q > 0:
+                else:
+                    facing = self.graph.links[(node.nid, target)].sector_at_rx
+        else:
+            plan = self._attempt(node)[2]
+            if plan is not None:
+                kind, facing = "art", opposite_sector(plan[0], self._ns)
+            elif node.beacon_sectors:
+                kind = "beacon"
+                facing = opposite_sector(node.beacon_sectors[0], self._ns)
+        clock = self.clock
+        if facing is not None:
+            t = clock.next_aligned(max(self.now + 1, node.defer_until), facing)
+            self._enter_slot(t, kind, (node.nid,))
+        elif node.total_q > 0:
             # backlogged but nothing useful to do; poll for table changes
             self._push(self.now + _POLL_SUPERSLOTS * clock.super_us,
                        _EV_WAKE, node.nid)
@@ -781,25 +772,59 @@ class Simulation:
         q_i, q_j, u = details[chosen]
         return chosen, q_i, q_j, u
 
-    # -- slot resolution --------------------------------------------
+    # -- slot phases shared by the protocols -------------------------
+
+    def _broadcast(self, txs: list, beam: int):
+        """Deliver the slot's requests to the idle listeners in the beam.
+
+        Sorts `txs` into send order, (cms, nid); a sender cannot
+        receive.  Returns ({receiver: [request, ...]}, senders), each
+        receiver's requests in CMS order.
+        """
+        txs.sort()
+        senders = set(map(itemgetter(1), txs))
+        nodes = self.nodes
+        nbrs = self.graph.neighbor_index
+        chan_cache = self._chan_cache
+        nn = self._nn
+        arrivals: dict[int, list] = {}
+        for tx in txs:
+            nid = tx[1]
+            base = nid * nn
+            for rx in nbrs[nid][beam]:
+                if nodes[rx].engaged or rx in senders:
+                    continue
+                # _chan_ok inlined: same draws in the same order
+                c = chan_cache.get(base + rx)
+                if c is None:
+                    c = self._chan_entry(nid, rx)
+                rnd, p_b, p_e = c
+                if (p_b and rnd() < p_b) or (p_e and rnd() < p_e):
+                    continue
+                lst = arrivals.get(rx)
+                if lst is None:
+                    arrivals[rx] = [tx]
+                else:
+                    lst.append(tx)
+        return arrivals, senders
+
+    # -- VL-ROUTE / VL-MAC-GEO slot ----------------------------------
 
     def _resolve_slot_vl(self, t_slot: int, intents):
         cfg = self.cfg
         clock = self.clock
         g = clock.listening_sector(t_slot)
         beam = opposite_sector(g, clock.n_sectors)
-        graph = self.graph
         nodes = self.nodes
-        vl_route = cfg.protocol == "VL-ROUTE"
         ns = self._ns
         cw = cfg.cw
         scale = cfg.backoff_utility_scale
         busy_map = self._busy
         attempt_memo = self._attempt_memo
-        nbrs = graph.neighbor_index
 
+        # the requests: this loop runs once per intent, the hottest of a
+        # run, so it keeps its lookups inline rather than calling them
         txs = []       # (cms, nid, payload)
-        tx_ids = set()
         beacon_txs = []
         for kind, nid in intents:
             node = nodes[nid]
@@ -832,7 +857,6 @@ class Simulation:
                 if payload is None:
                     payload = self._art_payload(node)
                 txs.append((cms, nid, payload))
-                tx_ids.add(nid)
             else:  # beacon
                 if not node.beacon_sectors or node.beacon_sectors[0] != beam:
                     self._schedule_attempt(node)
@@ -843,43 +867,37 @@ class Simulation:
                            "adv": node.routing.advertisement()
                            if node.routing else None}
                 txs.append((cms, nid, payload))
-                tx_ids.add(nid)
                 beacon_txs.append(nid)
-
         if not txs:
-            self._check_stall()
             return
 
-        # ART window: deliver every transmission to facing idle listeners.
-        # txs go out in CMS order, so each receiver's arrivals list is
-        # already sorted by CMS.
-        txs.sort()
-        arrivals: dict[int, list] = {}   # rx -> [(cms, payload)]
-        chan_cache = self._chan_cache
-        nn = self._nn
-        for cms, nid, payload in txs:
-            base = nid * nn
-            for rx in nbrs[nid][beam]:
-                if nodes[rx].engaged or rx in tx_ids:
-                    continue
-                # _chan_ok inlined: same draws in the same order
-                c = chan_cache.get(base + rx)
-                if c is None:
-                    c = self._chan_entry(nid, rx)
-                rnd, p_b, p_e = c
-                if (p_b and rnd() < p_b) or (p_e and rnd() < p_e):
-                    continue
-                lst = arrivals.get(rx)
-                if lst is None:
-                    arrivals[rx] = [(cms, payload)]
-                else:
-                    lst.append((cms, payload))
+        arrivals, senders = self._broadcast(txs, beam)
+        awaiting = senders.difference(beacon_txs)
+        pending_acn = self._vl_accept(g, arrivals, beacon_txs)
+        if pending_acn:
+            self._vl_tail(t_slot, g, beam, pending_acn, awaiting, senders)
+        # initiators that heard no ACN retry one super-slot later
+        if awaiting:
+            self.handshake_failures += len(awaiting)
+            self._enter_slot(t_slot + clock.super_us, "art", sorted(awaiting))
+        for nid in beacon_txs:
+            self._schedule_attempt(nodes[nid])
 
-        # a receiver decodes a CMS only when exactly one request used it
-        heard: dict[int, list] = {}
+    def _vl_accept(self, g: int, arrivals: dict, beacons: list) -> list:
+        """Acceptor phase: [acn_cms, rx, initiator, q_i, q_j, cancelled].
+
+        A listener decodes each CMS that carried one request; more than
+        one is a collision there, counted once per request in it.  A
+        VL-ROUTE listener folds every advert it decoded into its tables.
+        A listener with room for a packet, whose own reception would not
+        be corrupted, then answers its best decodable ART.
+        """
+        cfg = self.cfg
+        vl_route = cfg.protocol == "VL-ROUTE"
+        heard = {}
         for rx, lst in arrivals.items():
             if len(lst) == 1:
-                heard[rx] = [lst[0][1]]
+                heard[rx] = [lst[0][2]]
                 continue
             got = []
             for _, same in groupby(lst, key=itemgetter(0)):
@@ -887,14 +905,12 @@ class Simulation:
                 if len(same) > 1:
                     self.cc_collisions += len(same)
                 else:
-                    got.append(same[0][1])
+                    got.append(same[0][2])
             if got:
                 heard[rx] = got
-
-        awaiting = tx_ids.difference(beacon_txs)
-        pending_acn = []  # [acn_cms, rx, i_star, q_i, q_j, cancelled]
+        pending_acn = []
         for rx in sorted(heard):
-            rxn = nodes[rx]
+            rxn = self.nodes[rx]
             payloads = heard[rx]
             if vl_route:
                 state = rxn.routing
@@ -907,26 +923,32 @@ class Simulation:
                     if worthy:
                         self._queue_beacons(rxn)
                         self._schedule_attempt(rxn)
-            if beacon_txs:
+            if beacons:
                 payloads = [p for p in payloads if p["is_art"]]
                 if not payloads:
                     continue
             if rxn.total_q >= rxn.b_max:
                 continue  # no room for a packet
-            if busy_map.get(rx * ns + g, 0) > t_slot:
+            if self._dc_busy_until(rx, g):
                 continue  # our data reception would be corrupted; stay out
             sel = self._evaluate_arts(rxn, payloads)
             if sel is None:
                 continue
             i_star, q_i, q_j, u = sel
-            acn_cms = cw + backoff_slots(u / cfg.link_rate_bps,
-                                         cfg.acn_window, rxn.rng, scale)
+            acn_cms = cfg.cw + backoff_slots(u / cfg.link_rate_bps,
+                                             cfg.acn_window, rxn.rng,
+                                             cfg.backoff_utility_scale)
             pending_acn.append([acn_cms, rx, i_star, q_i, q_j, False])
+        return pending_acn
 
-        # ACN / RES tail, one CMS at a time
+    def _vl_tail(self, t_slot: int, g: int, beam: int, pending_acn: list,
+                 awaiting: set, senders: set):
+        """The ACN / RES tail, one CMS at a time after the request window."""
+        cfg = self.cfg
+        ns = self._ns
         coverers = self._coverers
         res_due: dict[int, list] = {}
-        for cms in range(cw, cfg.cms_per_slot) if pending_acn else ():
+        for cms in range(cfg.cw, cfg.cms_per_slot):
             wire = []  # (tx, kind, record)
             for rec in pending_acn:
                 if rec[0] == cms and not rec[5]:
@@ -951,84 +973,77 @@ class Simulation:
                     for y in awaiting & cover:
                         if self._chan_ok(rx, y):
                             hear.setdefault(y, []).append((rx, kind, rec))
-                else:  # res
-                    i_star, rx, q_i, q_j = rec
-                    committed = self._try_commit(t_slot, cms, i_star, rx,
-                                                 beam, g, q_i, q_j)
-                    if committed is None:
-                        continue
-                    listeners = {rx}
-                    cover = coverers.get(i_star * ns + g, ())
-                    for other in pending_acn:
-                        rx2 = other[1]
-                        # an acceptor transmitting its own ACN this CMS
-                        # cannot simultaneously receive
-                        if rx2 != rx and not other[5] and other[0] != cms \
-                                and rx2 in cover:
-                            listeners.add(rx2)
-                    for y in listeners:
-                        if self._chan_ok(i_star, y):
-                            hear.setdefault(y, []).append((i_star, "res",
-                                                           (rec, committed)))
-                    # idle bystanders in the beam defer until the exchange ends
-                    for y in nbrs[i_star][beam]:
-                        yn = nodes[y]
-                        if not yn.engaged and y not in tx_ids and \
-                                committed.end > yn.defer_until:
-                            yn.defer_until = committed.end
-            for y in sorted(hear):
-                msgs = hear[y]
-                if len(msgs) > 1:
-                    self.cc_collisions += len(msgs)
                     continue
-                tx, kind, rec = msgs[0]
-                yn = nodes[y]
-                if kind == "acn":
-                    _, rx, i_star, q_i, q_j, _ = rec
-                    if y == i_star and y in awaiting:
-                        awaiting.discard(y)
-                        nxt = cms + 1
-                        if nxt < cfg.cms_per_slot:
-                            res_due.setdefault(nxt, []).append(
-                                (i_star, rx, q_i, q_j))
-                        else:
-                            # no room left for RES; both sides time out
-                            self.handshake_failures += 1
-                            self._fast_retry(yn, t_slot, "art")
-                    elif y in awaiting:
-                        # overheard a foreign ACN: lost the contention
-                        awaiting.discard(y)
-                        self.handshake_failures += 1
-                        self._fast_retry(yn, t_slot, "art")
-                    # else: a late ACN to an already-committed initiator,
-                    # which is busy transmitting its RES and ignores it
-                else:
-                    inner, committed = rec
-                    if y == inner[1]:
-                        committed.res_delivered = True
-                        self._fold_busy(self._busy, committed.acceptor,
-                                        committed.a_beam, committed.end)
-                    else:
-                        # foreign acceptor: domain is reserved, stand down
-                        for other in pending_acn:
-                            if other[1] == y:
-                                other[5] = True
-                        if committed.end > yn.defer_until:
-                            yn.defer_until = committed.end
+                i_star, rx, q_i, q_j = rec
+                committed = self._try_commit(t_slot, cms, i_star, rx,
+                                             beam, g, q_i, q_j)
+                if committed is None:
+                    continue
+                listeners = {rx}
+                cover = coverers.get(i_star * ns + g, ())
+                for other in pending_acn:
+                    rx2 = other[1]
+                    # an acceptor transmitting its own ACN this CMS
+                    # cannot simultaneously receive
+                    if rx2 != rx and not other[5] and other[0] != cms \
+                            and rx2 in cover:
+                        listeners.add(rx2)
+                for y in listeners:
+                    if self._chan_ok(i_star, y):
+                        hear.setdefault(y, []).append((i_star, "res",
+                                                       (rec, committed)))
+                # idle bystanders in the beam defer until the exchange ends
+                for y in self.graph.neighbor_index[i_star][beam]:
+                    yn = self.nodes[y]
+                    if not yn.engaged and y not in senders and \
+                            committed.end > yn.defer_until:
+                        yn.defer_until = committed.end
+            self._vl_hear(t_slot, cms, hear, pending_acn, awaiting, res_due)
 
-        # initiators that heard no ACN retry one super-slot later: one
-        # intents lookup for all of them, in the order _fast_retry took
-        if awaiting:
-            self.handshake_failures += len(awaiting)
-            retry = self._slot_list(t_slot + clock.super_us)
-            for nid in sorted(awaiting):
-                nodes[nid].pending = "slot"
-                retry.append(("art", nid))
-        for nid in beacon_txs:
-            node = nodes[nid]
-            if not node.engaged and node.pending is None:
-                self._schedule_attempt(node)
-        self._check_stall()
+    def _vl_hear(self, t_slot: int, cms: int, hear: dict, pending_acn: list,
+                 awaiting: set, res_due: dict):
+        """What each tail listener makes of one CMS; two frames collide."""
+        for y in sorted(hear):
+            msgs = hear[y]
+            if len(msgs) > 1:
+                self.cc_collisions += len(msgs)
+                continue
+            _, kind, rec = msgs[0]
+            if kind == "acn":
+                _, rx, i_star, q_i, q_j, _ = rec
+                if y == i_star and y in awaiting:
+                    awaiting.discard(y)
+                    nxt = cms + 1
+                    if nxt < self.cfg.cms_per_slot:
+                        res_due.setdefault(nxt, []).append(
+                            (i_star, rx, q_i, q_j))
+                    else:
+                        # no room left for RES; both sides time out
+                        self.handshake_failures += 1
+                        self._enter_slot(t_slot + self.clock.super_us,
+                                         "art", (y,))
+                elif y in awaiting:
+                    # overheard a foreign ACN: lost the contention
+                    awaiting.discard(y)
+                    self.handshake_failures += 1
+                    self._enter_slot(t_slot + self.clock.super_us, "art",
+                                     (y,))
+                # else: a late ACN to an already-committed initiator,
+                # which is busy transmitting its RES and ignores it
+                continue
+            inner, committed = rec
+            if y == inner[1]:
+                committed.res_delivered = True
+                self._fold_busy(self._busy, committed.acceptor,
+                                committed.a_beam, committed.end)
+                continue
+            # foreign acceptor: domain is reserved, stand down
+            for other in pending_acn:
+                if other[1] == y:
+                    other[5] = True
+            yn = self.nodes[y]
+            if committed.end > yn.defer_until:
+                yn.defer_until = committed.end
 
     def _try_commit(self, t_slot: int, cms: int, i_star: int, rx: int,
                     beam: int, g: int, q_i: int, q_j):
@@ -1082,18 +1097,16 @@ class Simulation:
         clock = self.clock
         g = clock.listening_sector(t_slot)
         beam = opposite_sector(g, clock.n_sectors)
-        graph = self.graph
         nodes = self.nodes
-        links = graph.links
+        links = self.graph.links
         req_window = cfg.cms_per_slot - 2
         ns = self._ns
         busy_map = self._busy
         sess_sink = self.sess_sink
         greedy_memo = self._greedy_memo
-        retry = None   # intents one super-slot later, fetched on first use
 
+        # the requests, with their lookups inline as in _resolve_slot_vl
         txs = []  # (cms, nid, target, sid)
-        tx_ids = set()
         for kind, nid in intents:
             node = nodes[nid]
             node.pending = None
@@ -1126,42 +1139,25 @@ class Simulation:
                 node.csma_residual = node.rng.randrange(node.csma_cw)
             if node.csma_residual >= req_window:
                 node.csma_residual -= req_window
-                # _fast_retry, fetching the retry slot's intents once
-                if retry is None:
-                    retry = self._slot_list(t_slot + clock.super_us)
-                retry.append(("gr", nid))
-                node.pending = "slot"
+                self._enter_slot(t_slot + clock.super_us, "gr", (nid,))
                 continue
             cms = node.csma_residual
             node.csma_residual = None
             txs.append((cms, nid, target, sid))
-            tx_ids.add(nid)
+        if txs:
+            arrivals, _ = self._broadcast(txs, beam)
+            granted = self._gr_grant(t_slot, g, beam, txs, arrivals)
+            self._gr_fail(t_slot, txs, granted)
 
-        if not txs:
-            self._check_stall()
-            return
-
-        txs.sort()
-        cps = cfg.cms_per_slot
-        arrivals: dict[int, list] = {}   # rx*cms_per_slot+cms -> senders
-        nbrs = graph.neighbor_index
-        chan = self._chan_ok
-        for cms, nid, target, sid in txs:
-            for rx in nbrs[nid][beam]:
-                if nodes[rx].engaged or rx in tx_ids:
-                    continue
-                if chan(nid, rx):
-                    key = rx * cps + cms
-                    lst = arrivals.get(key)
-                    if lst is None:
-                        arrivals[key] = [nid]
-                    else:
-                        lst.append(nid)
-
+    def _gr_grant(self, t_slot: int, g: int, beam: int, txs: list,
+                  arrivals: dict) -> set:
+        """Grant what each target decoded alone; count collisions there."""
+        nodes = self.nodes
         granted = set()
-        for cms, nid, target, sid in txs:
-            got = arrivals.get(target * cps + cms, ())
-            if len(got) != 1 or got[0] != nid:
+        for tx in txs:
+            cms, nid, target, sid = tx
+            got = [a for a in arrivals.get(target, ()) if a[0] == cms]
+            if got != [tx]:
                 if len(got) > 1:
                     self.cc_collisions += len(got)
                 continue
@@ -1173,8 +1169,7 @@ class Simulation:
             rev_sid = None
             if node.free_space() >= 1:
                 for sid2 in rxn.queued_sids():
-                    k2 = self.sess_sink[sid2]
-                    if self._greedy(target, k2) == nid:
+                    if self._greedy(target, self.sess_sink[sid2]) == nid:
                         rev_sid = sid2
                         break
             if self._commit_conflict(nid, target, beam, g):
@@ -1185,32 +1180,31 @@ class Simulation:
             if not self._chan_ok(target, nid):
                 continue  # grant lost; the sender will back off
             self._open_reservation(t_slot, nid, target, beam, g,
-                                   t_slot + (cms + 2) * clock.cms_us,
+                                   t_slot + (cms + 2) * self.clock.cms_us,
                                    sid, rev_sid, True)
-            node.csma_cw = cfg.csma_cw_min
+            node.csma_cw = self.cfg.csma_cw_min
             granted.add(nid)
+        return granted
 
-        for cms, nid, target, sid in txs:
+    def _gr_fail(self, t_slot: int, txs: list, granted: set):
+        """Back off every ungranted sender; past the retry limit, drop."""
+        cfg = self.cfg
+        later = t_slot + self.clock.super_us
+        for _, nid, _, sid in txs:
             if nid in granted:
                 continue
-            node = nodes[nid]
+            node = self.nodes[nid]
             self.handshake_failures += 1
-            dropped = False
-            q = node.queues.get(sid)
-            if q:
-                pkt = q[0]
-                pkt.h_attempts += 1
-                if pkt.h_attempts > cfg.retry_limit:
-                    self._drop(node, sid, "collision")
-                    node.csma_cw = cfg.csma_cw_min
-                    dropped = True
-                else:
-                    node.csma_cw = min(node.csma_cw * 2, cfg.csma_cw_max)
-            if dropped:
+            pkt = node.queues[sid][0]
+            pkt.h_attempts += 1
+            if pkt.h_attempts > cfg.retry_limit:
+                self._drop(node, sid, "collision")
+                node.csma_cw = cfg.csma_cw_min
                 self._schedule_attempt(node)  # head changed; replan
             else:
-                self._fast_retry(node, t_slot, "gr")
-        self._check_stall()
+                node.csma_cw = min(node.csma_cw * 2, cfg.csma_cw_max)
+                self._enter_slot(later, "gr", (nid,))
+
 
     # -- data phase --------------------------------------------------
 
@@ -1301,6 +1295,7 @@ class Simulation:
                 intents = slot_intents.pop(payload, None)
                 if intents:
                     resolve(payload, intents)
+                    self._check_stall()
             else:  # wake
                 node = self.nodes[payload]
                 if node.pending == "wake":

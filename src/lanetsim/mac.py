@@ -15,8 +15,10 @@ and `_vl_choose_eval`); an acceptor scores a heard initiator by the
 best weighted differential backlog in each direction times that
 direction's link capacity (`_eval_pair`).  The geographic baseline uses
 the same shapes with the RRS factor pinned to 1.  Sequencing (who
-transmits when) lives in engine.py too; everything here is a local
-decision a node could make from its own tables.
+transmits when) lives in engine.py too: the requests are built in
+`Simulation._resolve_slot_vl` and `_resolve_slot_gr` and answered in
+`_vl_accept` and `_gr_grant`.  Everything here is a local decision a
+node could make from its own tables.
 """
 from __future__ import annotations
 
@@ -194,18 +196,12 @@ class MacNode:
         pkt = self.queues[sid].popleft()
         self.total_q -= 1
         self.q_version += 1
-        try:
-            self.gr_order.remove(sid)
-        except ValueError:
-            pass
+        self.gr_order.remove(sid)
         return pkt
 
     def gr_head_sid(self) -> int | None:
-        """The session of the oldest queued packet (GR-CSMA service order)."""
-        while self.gr_order:
-            sid = self.gr_order[0]
-            q = self.queues.get(sid)
-            if q:
-                return sid
-            self.gr_order.popleft()
-        return None
+        """The session of the oldest queued packet (GR-CSMA service order).
+
+        `gr_order` holds one entry per queued packet, in arrival order.
+        """
+        return self.gr_order[0] if self.gr_order else None

@@ -273,17 +273,52 @@ PINNED_TRACE_HASHES = {
 }
 
 
-@pytest.mark.parametrize("protocol", sorted(PINNED_TRACE_HASHES))
-def test_pinned_trace_hash(protocol):
-    """The simulated behaviour of a small fixed grid run, per protocol.
+# trace_hash of the desk-sweep cell grid_cfg(protocol=p, sessions=18,
+# seed=1, duration_cap_s=0.5): unlike the run above it has duplex
+# exchanges under every protocol and GR-CSMA collisions
+BUSY_TRACE_HASHES = {
+    "VL-ROUTE":
+        "e732a4702f65a24eb63f4c32998b74a2472bb18139798d40b9a414f6237ac42f",
+    "VL-MAC-GEO":
+        "b4497b9d239f76453d1d3fb11cecc0deff687971b8815cb24d91da03f963752a",
+    "GR-CSMA":
+        "79fef0c99dd4f193aeec77b08556cfe20a6f3e99cc46e352d00c52599f181ff7",
+}
+PINNED_RUNS = {
+    "small": (dict(sessions=5, duration_cap_s=0.6), PINNED_TRACE_HASHES),
+    "busy": (dict(sessions=18, seed=1, duration_cap_s=0.5),
+             BUSY_TRACE_HASHES),
+}
+# RunMetrics counters the trace hash does not cover, per pinned run
+PINNED_FIELDS = ("exchanges_total", "duplex_exchanges", "handshake_failures",
+                 "cc_collisions", "commit_aborts", "events",
+                 "delivered_total")
+PINNED_COUNTERS = {
+    ("VL-ROUTE", "small"): (1710, 0, 7916, 178, 18, 5519, 108),
+    ("VL-MAC-GEO", "small"): (1067, 0, 18853, 694, 16, 4787, 93),
+    ("GR-CSMA", "small"): (738, 0, 1307, 0, 0, 3935, 42),
+    ("VL-ROUTE", "busy"): (2899, 154, 29869, 598, 36, 6784, 117),
+    ("VL-MAC-GEO", "busy"): (2008, 73, 31113, 352, 29, 5901, 126),
+    ("GR-CSMA", "busy"): (1422, 114, 4506, 4, 0, 5324, 105),
+}
+
+
+@pytest.mark.parametrize("protocol, pinned", [
+    pytest.param(p, name, id=p if name == "small" else f"{p}-{name}")
+    for name in PINNED_RUNS for p in sorted(PINNED_TRACE_HASHES)])
+def test_pinned_trace_hash(protocol, pinned):
+    """The simulated behaviour of two fixed grid runs, per protocol.
 
     A change that only makes the simulator cheaper must leave every
-    event, and so these hashes, as they are.  A change to the protocol
-    or to the order of its random draws moves them: such a change
-    updates the hashes here and says so in CHANGES.md.
+    event, and so these hashes and counters, as they are.  A change to
+    the protocol or to the order of its random draws moves them: such a
+    change updates them here and says so in CHANGES.md.
     """
-    res = run(grid_cfg(protocol=protocol, sessions=5, duration_cap_s=0.6))
-    assert res.trace_hash == PINNED_TRACE_HASHES[protocol]
+    overrides, hashes = PINNED_RUNS[pinned]
+    res = run(grid_cfg(protocol=protocol, **overrides))
+    assert res.trace_hash == hashes[protocol]
+    assert tuple(getattr(res, f) for f in PINNED_FIELDS) == \
+        PINNED_COUNTERS[(protocol, pinned)]
 
 
 def test_blockage_hurts_throughput():

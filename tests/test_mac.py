@@ -266,13 +266,14 @@ def test_backlog_by_sink_aggregates_sessions():
 
 def test_gr_service_order_is_oldest_packet_first():
     n = make_node()
-    n.enqueue(1, DataPacket(1, 0))
-    n.enqueue(2, DataPacket(2, 0))
-    n.enqueue(1, DataPacket(1, 1))
-    assert n.gr_head_sid() == 1
-    n.dequeue(1)
-    assert n.gr_head_sid() == 2
-    n.dequeue(2)
-    assert n.gr_head_sid() == 1
-    n.dequeue(1)
-    assert n.gr_head_sid() is None
+    steps = [(n.enqueue, 1, DataPacket(1, 0)),
+             (n.enqueue, 2, DataPacket(2, 0)),
+             (n.enqueue, 1, DataPacket(1, 1)),
+             (n.dequeue, 1), (n.dequeue, 2), (n.dequeue, 1)]
+    heads = []
+    for op, *args in steps:
+        op(*args)
+        # one service-order entry per queued packet
+        assert len(n.gr_order) == n.total_q
+        heads.append(n.gr_head_sid())
+    assert heads == [1, 1, 1, 2, 1, None]
