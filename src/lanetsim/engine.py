@@ -19,7 +19,10 @@ retry one super-slot later among them; `_open_reservation` opens every
 exchange.  VL-ROUTE and VL-MAC-GEO decode per CMS and answer
 (`_vl_accept`), then run the ACN / RES tail (`_vl_tail`, `_vl_hear`);
 GR-CSMA grants what each target decoded alone (`_gr_grant`) and backs
-off the rest (`_gr_fail`).
+off the rest (`_gr_fail`).  A request travels as (cms, nid) and carries
+no copy of its sender's state: an acceptor reads the sender's queues
+and routing tables, and a VL-ROUTE listener its advertisement, from the
+sender itself.
 
 A reservation opens only after the commit gate has refused anything
 conflicting with an active one (carrier sensing of sustained emissions
@@ -344,11 +347,11 @@ class Simulation:
         # node beaming into a reserved domain is a conflict even before
         # the acceptor has transmitted anything
         self._guard: dict[int, int] = {}
-        # nid -> [q_version, routing version, plan, ART payload or None]
-        self._attempt_memo: dict[int, list] = {}
+        # nid -> (q_version, routing version, plan)
+        self._attempt_memo: dict[int, tuple] = {}
         self._chan_cache: dict[int, tuple] = {}
-        # (initiator, receiver) -> (request ver, q_version, routing
-        # version, value)
+        # (initiator, receiver) -> (initiator's q_version and routing
+        # version, receiver's q_version and routing version, value)
         self._pair_cache: dict[tuple[int, int], tuple] = {}
         self._audience: dict[int, list[int]] = {}
         self._ns = cfg.n_sectors
@@ -430,6 +433,7 @@ class Simulation:
         cfg = self.cfg
         g = self.graph
         est = EstimationModel(cfg.estimation_error, cfg.seed)
+        sinks = {k: g.positions[k] for k in g.sinks}
         states = {}
         for i in range(g.n_nodes):
             static = {}
@@ -438,7 +442,7 @@ class Simulation:
                 pe = est.perturb(lk.p_e, i, j, "pe")
                 pb = est.perturb(lk.p_b, i, j, "pb")
                 static[j] = (1.0 - pe) * (1.0 - pb)
-            st = RoutingState(i, g.positions[i], g.sinks, g.n_sectors,
+            st = RoutingState(i, g.positions[i], sinks, g.n_sectors,
                               cfg.cw, cfg.b_max, static)
             states[i] = st
             self.nodes[i].routing = st
@@ -561,19 +565,18 @@ class Simulation:
 
     # -- attempt planning -------------------------------------------
 
-    def _attempt(self, node: MacNode) -> list:
-        """[q_version, routing version, plan, ART payload or None].
+    def _attempt(self, node: MacNode) -> tuple:
+        """(q_version, routing version, plan).
 
-        The plan and the request payload are pure in the node's queues
-        and routing tables, so both are memoized against their version
-        counters; the payload is built when first sent.
+        The plan is pure in the node's queues and routing tables, so it
+        is memoized against their version counters.
         """
         state = node.routing
         qv = node.q_version
         rv = state.version if state else 0
         memo = self._attempt_memo.get(node.nid)
         if memo is None or memo[0] != qv or memo[1] != rv:
-            memo = [qv, rv, self._vl_choose_eval(node), None]
+            memo = (qv, rv, self._vl_choose_eval(node))
             self._attempt_memo[node.nid] = memo
         return memo
 
@@ -669,30 +672,22 @@ class Simulation:
                        _EV_WAKE, node.nid)
             node.pending = "wake"
 
-    # -- handshake payloads -----------------------------------------
+    # -- acceptor evaluation ----------------------------------------
 
-    def _art_payload(self, node: MacNode) -> dict:
-        memo = self._attempt(node)
-        payload = memo[3]
-        if payload is None:
-            state = node.routing
-            payload = {"node": node.nid, "is_art": True,
-                       "ver": (memo[0], memo[1]),
-                       "backlogs": node.backlogs_by_session(),
-                       "free": node.free_space(),
-                       "adv": state.advertisement() if state else None}
-            memo[3] = payload
-        return payload
-
-    def _eval_pair(self, rxn: MacNode, payload: dict, rq: int, rr: int):
+    def _eval_pair(self, rxn: MacNode, ini: MacNode, rq: int, rr: int):
         """Acceptance value of one decodable request at one receiver.
 
-        Depends only on the request snapshot and the receiver's own
-        queues and tables, so results are memoized per directed pair
-        against both sides' version counters (rq and rr are the
-        receiver's); `_evaluate_arts` checks the memo.
+        Reads the initiator's queues and tables directly rather than a
+        copy sent with the request.  That is exact: a sender cannot
+        receive in its own slot (`_broadcast` skips senders), and nothing
+        in the acceptor phase touches a sender's queues or tables, so
+        they are what they were when the request went out.  The value
+        depends only on both sides' queues and tables, so it is memoized
+        per directed pair against both sides' version counters (rq and
+        rr are the receiver's); `_evaluate_arts` checks the memo.
         """
-        i = payload["node"]
+        i = ini.nid
+        ini_state = ini.routing
         vl_route = self.cfg.protocol == "VL-ROUTE"
         sess_sink = self.sess_sink
         prog = self.prog
@@ -700,24 +695,25 @@ class Simulation:
         prog_fwd = prog.get((i, rxn.nid))
         if prog_fwd is not None:
             fwd_options = []
-            for sid, b_i in payload["backlogs"].items():
+            for sid in ini.queued_sids():
                 k = sess_sink[sid]
                 p = prog_fwd.get(k)
                 if p is None:
                     continue
                 if vl_route:
-                    gmax_i = payload["adv"]["gamma_max"].get(k, 0.0)
+                    gmax_i = ini_state.gamma_max(k)
                     own = rxn.routing.entries[k].gamma
                     if gmax_i <= 0.0 or own <= 0.0:
                         continue
                     weight = (own / gmax_i) * p
                 else:
                     weight = p
-                fwd_options.append((sid, weight, b_i, rxn.backlog(sid)))
+                fwd_options.append((sid, weight, ini.backlog(sid),
+                                    rxn.backlog(sid)))
             q_i, eta_fwd = select_session_eta(fwd_options)
             if q_i is not None:
                 q_j, eta_rev = None, 0.0
-                if payload["free"] >= 1:
+                if ini.free_space() >= 1:
                     prog_rev = prog.get((rxn.nid, i))
                     if prog_rev:
                         rev_options = []
@@ -727,41 +723,44 @@ class Simulation:
                             if p is None:
                                 continue
                             if vl_route:
-                                rec = payload["adv"]["table"].get(k)
+                                theirs = ini_state.entries[k].gamma
                                 gmax = rxn.routing.gamma_max(k)
-                                if rec is None or rec[0] <= 0.0 \
-                                        or gmax <= 0.0:
+                                if theirs <= 0.0 or gmax <= 0.0:
                                     continue
-                                weight = (rec[0] / gmax) * p
+                                weight = (theirs / gmax) * p
                             else:
                                 weight = p
                             rev_options.append(
                                 (sid, weight, rxn.backlog(sid),
-                                 payload["backlogs"].get(sid, 0)))
+                                 ini.backlog(sid)))
                         q_j, eta_rev = select_session_eta(rev_options)
                 links = self.graph.links
                 u = eta_fwd * links[(i, rxn.nid)].capacity_bps \
                     + eta_rev * links[(rxn.nid, i)].capacity_bps
                 result = (q_i, q_j, u)
-        self._pair_cache[(i, rxn.nid)] = (payload["ver"], rq, rr, result)
+        self._pair_cache[(i, rxn.nid)] = (
+            ini.q_version, ini_state.version if ini_state else 0, rq, rr,
+            result)
         return result
 
-    def _evaluate_arts(self, rxn: MacNode, payloads: list[dict]):
+    def _evaluate_arts(self, rxn: MacNode, initiators: list[int]):
         """Acceptor selection among decodable requests; None to stay silent."""
         candidates = []
         details = {}
         pair_cache = self._pair_cache
+        nodes = self.nodes
         rx = rxn.nid
         rq = rxn.q_version
         rr = rxn.routing.version if rxn.routing else 0
-        for payload in payloads:
-            i = payload["node"]
+        for i in initiators:
+            ini = nodes[i]
+            iv = ini.routing.version if ini.routing else 0
             memo = pair_cache.get((i, rx))
-            if memo is not None and memo[0] == payload["ver"] \
-                    and memo[1] == rq and memo[2] == rr:
-                r = memo[3]
+            if memo is not None and memo[0] == ini.q_version \
+                    and memo[1] == iv and memo[2] == rq and memo[3] == rr:
+                r = memo[4]
             else:
-                r = self._eval_pair(rxn, payload, rq, rr)
+                r = self._eval_pair(rxn, ini, rq, rr)
             if r is None:
                 continue
             candidates.append((i, r[2]))
@@ -824,7 +823,7 @@ class Simulation:
 
         # the requests: this loop runs once per intent, the hottest of a
         # run, so it keeps its lookups inline rather than calling them
-        txs = []       # (cms, nid, payload)
+        txs = []       # (cms, nid)
         beacon_txs = []
         for kind, nid in intents:
             node = nodes[nid]
@@ -853,20 +852,14 @@ class Simulation:
                     self._schedule_attempt(node)
                     continue
                 cms = backoff_slots(plan[1], cw, node.rng, scale)
-                payload = memo[3]
-                if payload is None:
-                    payload = self._art_payload(node)
-                txs.append((cms, nid, payload))
+                txs.append((cms, nid))
             else:  # beacon
                 if not node.beacon_sectors or node.beacon_sectors[0] != beam:
                     self._schedule_attempt(node)
                     continue
                 node.beacon_sectors.popleft()
                 cms = backoff_slots(0.0, cw, node.rng, scale)
-                payload = {"node": nid, "is_art": False,
-                           "adv": node.routing.advertisement()
-                           if node.routing else None}
-                txs.append((cms, nid, payload))
+                txs.append((cms, nid))
                 beacon_txs.append(nid)
         if not txs:
             return
@@ -888,16 +881,18 @@ class Simulation:
 
         A listener decodes each CMS that carried one request; more than
         one is a collision there, counted once per request in it.  A
-        VL-ROUTE listener folds every advert it decoded into its tables.
-        A listener with room for a packet, whose own reception would not
-        be corrupted, then answers its best decodable ART.
+        VL-ROUTE listener folds the advert of every sender it decoded
+        into its tables.  A listener with room for a packet, whose own
+        reception would not be corrupted, then answers its best
+        decodable ART.
         """
         cfg = self.cfg
+        nodes = self.nodes
         vl_route = cfg.protocol == "VL-ROUTE"
         heard = {}
         for rx, lst in arrivals.items():
             if len(lst) == 1:
-                heard[rx] = [lst[0][2]]
+                heard[rx] = [lst[0][1]]
                 continue
             got = []
             for _, same in groupby(lst, key=itemgetter(0)):
@@ -905,18 +900,19 @@ class Simulation:
                 if len(same) > 1:
                     self.cc_collisions += len(same)
                 else:
-                    got.append(same[0][2])
+                    got.append(same[0][1])
             if got:
                 heard[rx] = got
+        beacons = set(beacons)
         pending_acn = []
         for rx in sorted(heard):
-            rxn = self.nodes[rx]
-            payloads = heard[rx]
+            rxn = nodes[rx]
+            senders = heard[rx]
             if vl_route:
                 state = rxn.routing
                 moved = False
-                for p in payloads:
-                    if state.observe(p["adv"]):
+                for i in senders:
+                    if state.observe(nodes[i].routing.advertisement()):
                         moved = True
                 if moved:
                     _, worthy = state.recompute(rxn.backlog_by_sink())
@@ -924,14 +920,14 @@ class Simulation:
                         self._queue_beacons(rxn)
                         self._schedule_attempt(rxn)
             if beacons:
-                payloads = [p for p in payloads if p["is_art"]]
-                if not payloads:
+                senders = [i for i in senders if i not in beacons]
+                if not senders:
                     continue
             if rxn.total_q >= rxn.b_max:
                 continue  # no room for a packet
             if self._dc_busy_until(rx, g):
                 continue  # our data reception would be corrupted; stay out
-            sel = self._evaluate_arts(rxn, payloads)
+            sel = self._evaluate_arts(rxn, senders)
             if sel is None:
                 continue
             i_star, q_i, q_j, u = sel
@@ -963,14 +959,12 @@ class Simulation:
             for tx, kind, rec in wire:
                 if kind == "acn":
                     rx = rec[1]
-                    # reaches initiators whose receive sector covers rx;
-                    # other acceptors beam the same way and cannot hear
-                    # it.  Each link has its own stream, so the order of
-                    # the draws below does not matter.
-                    cover = coverers.get(rx * ns + beam)
-                    if not cover:
-                        continue
-                    for y in awaiting & cover:
+                    # reaches initiators whose receive sector covers rx,
+                    # the ART's sender among them; other acceptors beam
+                    # the same way and cannot hear it.  Each link has its
+                    # own stream, so the order of the draws below does
+                    # not matter.
+                    for y in awaiting & coverers[rx * ns + beam]:
                         if self._chan_ok(rx, y):
                             hear.setdefault(y, []).append((rx, kind, rec))
                     continue
@@ -1013,15 +1007,10 @@ class Simulation:
                 _, rx, i_star, q_i, q_j, _ = rec
                 if y == i_star and y in awaiting:
                     awaiting.discard(y)
-                    nxt = cms + 1
-                    if nxt < self.cfg.cms_per_slot:
-                        res_due.setdefault(nxt, []).append(
-                            (i_star, rx, q_i, q_j))
-                    else:
-                        # no room left for RES; both sides time out
-                        self.handshake_failures += 1
-                        self._enter_slot(t_slot + self.clock.super_us,
-                                         "art", (y,))
+                    # validation keeps the last ACN CMS short of the
+                    # slot's end, so the RES always fits
+                    res_due.setdefault(cms + 1, []).append(
+                        (i_star, rx, q_i, q_j))
                 elif y in awaiting:
                     # overheard a foreign ACN: lost the contention
                     awaiting.discard(y)

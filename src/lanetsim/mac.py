@@ -167,9 +167,6 @@ class MacNode:
             self._bls_cache = (self.q_version, out)
         return out
 
-    def backlogs_by_session(self) -> dict[int, int]:
-        return {sid: len(q) for sid, q in self.queues.items() if q}
-
     def free_space(self) -> int:
         return self.b_max - self.total_q
 

@@ -4,7 +4,10 @@ Each node keeps, per sink, its route reliability score (RRS, the
 estimated probability that a packet handed to this node reaches the
 sink) and minimum hop count (MHC), both learned purely from overheard
 neighbor advertisements.  Sinks advertise themselves with RRS 1 and MHC
-0, so first-hop seeding falls out of the general update rule.
+0, so first-hop seeding falls out of the general update rule.  Sink
+positions are given at construction, from the same deployment map the
+MAC utilities and greedy forwarding read; they only fix which neighbors
+make forward progress toward each sink, and adverts carry none.
 
 The recomputation deliberately mirrors the fixed-point oracle in
 reliability.py down to iteration order (neighbors in ascending id within
@@ -63,7 +66,6 @@ class EstimationModel:
 class SinkEntry:
     gamma: float = 0.0
     mhc: float = INF
-    sink_pos: Position | None = None
     last_beta: float | None = None
     best: float = 0.0    # undiscounted best-sector value behind gamma
 
@@ -74,7 +76,7 @@ class NeighborObservation:
     neighbor: int
     position: Position
     reverse_sector: int  # sector of the owner as seen from the neighbor
-    table: dict = field(default_factory=dict)   # sink -> (gamma, mhc, pos)
+    table: dict = field(default_factory=dict)   # sink -> (gamma, mhc)
     sector_counts: tuple = ()
     p_link: float = 0.0  # owner's estimated hop success prob to this neighbor
 
@@ -84,11 +86,13 @@ class RoutingState:
 
     `link_static` maps out-neighbor -> (1 - p_e_hat) * (1 - p_b_hat); the
     access factor is folded in per advertisement because it depends on
-    the neighbor's advertised contender count.
+    the neighbor's advertised contender count.  `sinks` maps each sink
+    to its position.
     """
 
-    def __init__(self, node_id: int, position: Position, sinks, n_sectors: int,
-                 cw: int, b_max: int, link_static: dict[int, float]):
+    def __init__(self, node_id: int, position: Position,
+                 sinks: dict[int, Position], n_sectors: int, cw: int,
+                 b_max: int, link_static: dict[int, float]):
         self.node_id = node_id
         self.position = position
         self.sinks = sorted(sinks)
@@ -106,12 +110,14 @@ class RoutingState:
         self.obs_by_sector: list[list] = [[] for _ in range(n_sectors)]
         self._fwd: dict[int, list] = {}   # sink -> [(id, obs)] forward only
         self.entries: dict[int, SinkEntry] = {}
+        # sink -> (its position, our distance to it)
+        self._sink_at: dict[int, tuple] = {}
         for k in self.sinks:
             if k == node_id:
-                self.entries[k] = SinkEntry(1.0, 0, position)
+                self.entries[k] = SinkEntry(1.0, 0)
             else:
                 self.entries[k] = SinkEntry()
-        self._dist_to_sink: dict[int, float] = {}
+                self._sink_at[k] = (sinks[k], distance(position, sinks[k]))
         self._adv_cache = None
         self._gmax_cache: dict[int, float] = {}
         # sinks whose stored observations moved since the last recompute
@@ -170,13 +176,6 @@ class RoutingState:
         if static is not None and counts:
             m = max(1, counts[ob.reverse_sector])
             ob.p_link = static * access_prob(self.cw, m)
-        # adopt sink positions carried in the advertisement
-        for k, rec in tbl.items():
-            entry = self.entries.get(k)
-            if entry is not None and entry.sink_pos is None \
-                    and rec[2] is not None:
-                entry.sink_pos = rec[2]
-                self._reindex_sink(k)
         self.version += 1
         self.obs_version += 1
         self._adv_cache = None
@@ -191,38 +190,13 @@ class RoutingState:
 
     def _index_forward(self, ob: NeighborObservation) -> None:
         """Slot one observation into the per-sink forward-progress lists."""
-        for k in self.sinks:
-            if k == self.node_id:
-                continue
-            entry = self.entries[k]
-            if entry.sink_pos is None:
-                continue
-            if distance(ob.position, entry.sink_pos) < self._dist(k):
+        for k, (pos, d) in self._sink_at.items():
+            if distance(ob.position, pos) < d:
                 lst = self._fwd.setdefault(k, [])
                 lst.append((ob.neighbor, ob))
                 lst.sort(key=lambda t: t[0])
 
-    def _reindex_sink(self, k: int) -> None:
-        """Rebuild the forward list for a sink whose position just arrived."""
-        self._dirty.add(k)
-        self._dist_to_sink.pop(k, None)
-        entry = self.entries[k]
-        lst = []
-        for sec in self.obs_by_sector:
-            for j, ob in sec:
-                if distance(ob.position, entry.sink_pos) < self._dist(k):
-                    lst.append((j, ob))
-        lst.sort(key=lambda t: t[0])
-        self._fwd[k] = lst
-
     # -- recomputation -----------------------------------------------
-
-    def _dist(self, k: int) -> float:
-        d = self._dist_to_sink.get(k)
-        if d is None:
-            d = distance(self.position, self.entries[k].sink_pos)
-            self._dist_to_sink[k] = d
-        return d
 
     def recompute(self, backlogs):
         """Re-derive (RRS, MHC) for every sink from stored observations.
@@ -247,8 +221,8 @@ class RoutingState:
             if k == self.node_id:
                 continue
             entry = entries.get(k)
-            if entry is None or entry.sink_pos is None:
-                continue  # not a sink, or nothing heard about it yet
+            if entry is None:
+                continue  # not a sink
             stale = k in dirty
             if not stale and entry.mhc == INF:
                 continue
@@ -312,10 +286,8 @@ class RoutingState:
             adv = {
                 "node": self.node_id,
                 "position": self.position,
-                "table": {k: (e.gamma, e.mhc, e.sink_pos)
-                          for k, e in self.entries.items()},
+                "table": {k: (e.gamma, e.mhc) for k, e in self.entries.items()},
                 "sector_counts": tuple(len(s) for s in self.obs_by_sector),
-                "gamma_max": {k: self.gamma_max(k) for k in self.sinks},
             }
             self._adv_cache = adv
         return adv

@@ -87,6 +87,11 @@ def iter_forward_routes(graph, src, sink):
     return sorted(found)
 
 
+def sink_positions(graph: ConnectivityGraph) -> dict[int, Position]:
+    """{sink: position}, as `RoutingState` takes its sinks."""
+    return {k: graph.positions[k] for k in graph.sinks}
+
+
 def flooded_states(graph: ConnectivityGraph, cw: int = CW,
                    b_max: int = B_MAX) -> dict:
     """Distributed routing state after synchronous advertisement rounds.
@@ -102,8 +107,9 @@ def flooded_states(graph: ConnectivityGraph, cw: int = CW,
         static = {j: (1.0 - graph.links[(i, j)].p_e)
                   * (1.0 - graph.links[(i, j)].p_b)
                   for j in graph.out_neighbors(i)}
-        states[i] = RoutingState(i, graph.positions[i], graph.sinks,
-                                 graph.n_sectors, cw, b_max, static)
+        states[i] = RoutingState(i, graph.positions[i],
+                                 sink_positions(graph), graph.n_sectors, cw,
+                                 b_max, static)
     flood_routing_tables(graph, states)
     return states
 

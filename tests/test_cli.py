@@ -1,6 +1,8 @@
 """Command-line front end: subcommands, formats, exit codes."""
 import csv
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -182,9 +184,15 @@ def test_export_graph_requires_out():
 
 def test_module_runs_standalone(tmp_path):
     out = tmp_path / "m.json"
+    # the child imports the package this test imported, from its source
+    # root, whatever PYTHONPATH the test run started with
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "lanetsim.cli", "run", *FAST,
          "--out", str(out)],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["generated"] == 5

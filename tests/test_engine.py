@@ -18,7 +18,7 @@ from lanetsim.rng import substream
 from lanetsim.routing import RoutingState
 from lanetsim.topology import ConnectivityGraph
 
-from fleet import B_MAX, CW, FLEET, chain, lattice, stamp
+from fleet import B_MAX, CW, FLEET, chain, lattice, sink_positions, stamp
 
 
 class ScriptRng:
@@ -181,7 +181,7 @@ def flood_one_advert_at_a_time(graph, states, rounds_cap=0):
 
 
 def fresh_states(graph):
-    return {i: RoutingState(i, graph.positions[i], graph.sinks,
+    return {i: RoutingState(i, graph.positions[i], sink_positions(graph),
                             graph.n_sectors, CW, B_MAX,
                             {j: (1.0 - graph.links[(i, j)].p_e)
                              * (1.0 - graph.links[(i, j)].p_b)
@@ -284,10 +284,27 @@ BUSY_TRACE_HASHES = {
     "GR-CSMA":
         "79fef0c99dd4f193aeec77b08556cfe20a6f3e99cc46e352d00c52599f181ff7",
 }
+
+
+# trace_hash of a sparse random deployment, grid_cfg(protocol=p,
+# topology="random", n_nodes=150, n_sinks=6, area_side_m=35.0,
+# sessions=10, duration_cap_s=1.0): 403 of its 900 node-sink pairs have
+# no route, and both VL protocols make duplex exchanges
+RANDOM_TRACE_HASHES = {
+    "VL-ROUTE":
+        "19e4c16e3e9ff0b12dc3d00ebf01bf13f656aaa01383a7fb7df3e585be5ef862",
+    "VL-MAC-GEO":
+        "e6956b3899b143aa2014bc74b97800dcdd0507d3242d585f35891f065f0134e0",
+    "GR-CSMA":
+        "a8aa0d6cf73dbaac5a520d93a7117c43ccf0e6f99798358bde65102ac1c681cc",
+}
 PINNED_RUNS = {
     "small": (dict(sessions=5, duration_cap_s=0.6), PINNED_TRACE_HASHES),
     "busy": (dict(sessions=18, seed=1, duration_cap_s=0.5),
              BUSY_TRACE_HASHES),
+    "random": (dict(topology="random", n_nodes=150, n_sinks=6,
+                    area_side_m=35.0, sessions=10, duration_cap_s=1.0),
+               RANDOM_TRACE_HASHES),
 }
 # RunMetrics counters the trace hash does not cover, per pinned run
 PINNED_FIELDS = ("exchanges_total", "duplex_exchanges", "handshake_failures",
@@ -300,6 +317,9 @@ PINNED_COUNTERS = {
     ("VL-ROUTE", "busy"): (2899, 154, 29869, 598, 36, 6784, 117),
     ("VL-MAC-GEO", "busy"): (2008, 73, 31113, 352, 29, 5901, 126),
     ("GR-CSMA", "busy"): (1422, 114, 4506, 4, 0, 5324, 105),
+    ("VL-ROUTE", "random"): (2768, 22, 45816, 1616, 23, 10550, 308),
+    ("VL-MAC-GEO", "random"): (2876, 24, 50818, 3543, 21, 9942, 316),
+    ("GR-CSMA", "random"): (2561, 0, 5181, 16, 3, 8224, 328),
 }
 
 
@@ -307,7 +327,7 @@ PINNED_COUNTERS = {
     pytest.param(p, name, id=p if name == "small" else f"{p}-{name}")
     for name in PINNED_RUNS for p in sorted(PINNED_TRACE_HASHES)])
 def test_pinned_trace_hash(protocol, pinned):
-    """The simulated behaviour of two fixed grid runs, per protocol.
+    """The simulated behaviour of three fixed runs, per protocol.
 
     A change that only makes the simulator cheaper must leave every
     event, and so these hashes and counters, as they are.  A change to

@@ -107,7 +107,7 @@ def test_pair_utility_is_capacity_weighted_eta_sum():
     d_ij = math.hypot(2, 1)
     eta_fwd = (4 - d_ij) / d_ij * (3 - 1)
     eta_rev = (math.hypot(4, 1) - 2) / d_ij * (4 - 0)
-    q_i, q_j, u = sim._eval_pair(j, sim._art_payload(i), j.q_version, 0)
+    q_i, q_j, u = sim._eval_pair(j, i, j.q_version, 0)
     assert (q_i, q_j) == (0, 1)
     assert u == pytest.approx(eta_fwd * 8e6 + eta_rev * 3e6)
 
@@ -261,7 +261,6 @@ def test_backlog_by_sink_aggregates_sessions():
     assert n.backlog_by_sink() == {10: 2, 20: 1}
     n.dequeue(2)
     assert n.backlog_by_sink() == {10: 1, 20: 1}
-    assert n.backlogs_by_session() == {1: 1, 3: 1}
 
 
 def test_gr_service_order_is_oldest_packet_first():

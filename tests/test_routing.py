@@ -10,14 +10,14 @@ from lanetsim.routing import (INF, EstimationModel, RoutingState,
                               compute_beta)
 
 from fleet import B_MAX, CW, chain, diamond, flooded_states, lattice, \
-    random_graph
+    random_graph, sink_positions
 
 
 def fresh_state(graph, nid, cw=CW, b_max=B_MAX):
     static = {j: (1.0 - graph.links[(nid, j)].p_e)
               * (1.0 - graph.links[(nid, j)].p_b)
               for j in graph.out_neighbors(nid)}
-    return RoutingState(nid, graph.positions[nid], graph.sinks,
+    return RoutingState(nid, graph.positions[nid], sink_positions(graph),
                         graph.n_sectors, cw, b_max, static)
 
 
@@ -26,7 +26,6 @@ def test_sink_seeds_its_own_entry():
     st = fresh_state(g, 2)
     assert st.entries[2].gamma == 1.0
     assert st.entries[2].mhc == 0
-    assert st.entries[2].sink_pos == g.positions[2]
     assert st.snapshot() == {2: (1.0, 0)}
 
 
@@ -80,7 +79,7 @@ def test_batched_observation_matches_immediate_updates():
     adverts = []
     for j in g.out_neighbors(4):
         base = donors[j].advertisement()
-        table = {k: (rec[0] * 0.9, rec[1], rec[2])
+        table = {k: (rec[0] * 0.9, rec[1])
                  for k, rec in base["table"].items()}
         adverts.append({"node": j, "position": base["position"],
                         "table": table,
@@ -145,7 +144,7 @@ def test_first_route_discovery_is_worthy():
     g = chain(3)
     st = fresh_state(g, 0)
     adv = {"node": 1, "position": g.positions[1],
-           "table": {2: (0.5, 1, g.positions[2])},
+           "table": {2: (0.5, 1)},
            "sector_counts": (0, 0, 1, 0)}
     assert st.observe(adv)
     changed, worthy = st.recompute({})
@@ -178,7 +177,7 @@ def test_advertisement_cached_until_state_moves():
     donor = flooded_states(g)[1]
     base = donor.advertisement()
     bumped = {"node": 1, "position": base["position"],
-              "table": {k: (rec[0] * 0.5, rec[1], rec[2])
+              "table": {k: (rec[0] * 0.5, rec[1])
                         for k, rec in base["table"].items()},
               "sector_counts": base["sector_counts"]}
     before = st.advertisement()
@@ -197,7 +196,8 @@ def test_observe_rejects_self():
 
 def test_isolated_node_never_changes():
     g = chain(3)
-    st = RoutingState(0, Position(50.0, 50.0), [2], 4, CW, B_MAX, {})
+    st = RoutingState(0, Position(50.0, 50.0), sink_positions(g), 4, CW,
+                      B_MAX, {})
     assert st.recompute({}) == (False, False)
     assert st.snapshot() == {2: (0.0, INF)}
 
