@@ -156,25 +156,51 @@ def flood_routing_tables(graph: ConnectivityGraph, states: dict,
     A node observes all of a round's adverts first and then recomputes
     once: the adverts are fixed for the round, so the table it ends the
     round with is the one a recompute after every advert would reach.
+
+    The rounds run from a worklist, DSDV's triggered updates: round r
+    delivers only the adverts that changed in round r - 1 (all of them
+    in the first round), each node hearing its senders in ascending id.
+    This is exact.  A node's advert object changes only when its table
+    or sector counts move, and every listener holds the last advert
+    object each sender served, so each skipped delivery is one that
+    `observe` would turn away by identity, changing nothing.  Tables,
+    recomputes and the round count are those of delivering every advert
+    over every link in every round.
     """
     if rounds_cap <= 0:
         rounds_cap = graph.n_nodes + 8
+    # sender -> the nodes that hear it, ascending
+    listeners: dict[int, list[int]] = {j: [] for j in states}
+    for i in sorted(states):
+        for j in graph.out_neighbors(i):
+            listeners[j].append(i)
+    senders = sorted(states)
+    served = {j: states[j].advertisement() for j in senders}
     rounds = 0
-    order = sorted(states)
     for _ in range(rounds_cap):
-        adverts = {i: states[i].advertisement() for i in order}
+        inbox: dict[int, list[int]] = {}
+        for j in senders:
+            for i in listeners[j]:
+                inbox.setdefault(i, []).append(j)
         changed_any = False
-        for i in order:
+        for i in sorted(inbox):
             st = states[i]
             moved = False
-            for j in graph.out_neighbors(i):
-                if st.observe(adverts[j]):
+            for j in inbox[i]:
+                if st.observe(served[j]):
                     moved = True
             if moved and st.recompute({})[0]:
                 changed_any = True
         rounds += 1
         if not changed_any:
             break
+        # only a node that heard something can serve a new advert
+        senders = []
+        for j in sorted(inbox):
+            adv = states[j].advertisement()
+            if adv is not served[j]:
+                served[j] = adv
+                senders.append(j)
     return rounds
 
 
@@ -381,7 +407,8 @@ class Simulation:
         self._greedy_memo: dict[tuple[int, int], int | None] = {}
         # (nid, sink) -> (routing obs_version, _sector_terms value)
         self._terms_cache: dict[tuple[int, int], tuple] = {}
-        self._build_progress_tables()
+        if cfg.protocol != "GR-CSMA":   # GR-CSMA reads neither table
+            self._build_progress_tables()
 
         self.warmup_us = 0
         if cfg.protocol == "VL-ROUTE":
@@ -415,19 +442,20 @@ class Simulation:
                     per_sink[k] = (d_i - d_j) / d_ij
             if per_sink:
                 self.prog[(i, j)] = per_sink
-        # candidate lists per (node, sink, sector): [(neighbor, progress)]
-        self.cand: list[dict[int, list[list[tuple[int, float]]]]] = []
-        for i in range(g.n_nodes):
-            per_sink_lists: dict[int, list[list[tuple[int, float]]]] = {}
-            for k in g.sinks:
-                sectors = [[] for _ in range(g.n_sectors)]
-                for s in range(g.n_sectors):
-                    for j in g.neighbors_in_sector(i, s):
-                        p = self.prog.get((i, j), {}).get(k)
-                        if p is not None:
-                            sectors[s].append((j, p))
-                per_sink_lists[k] = sectors
-            self.cand.append(per_sink_lists)
+        # candidate lists per (node, sink, sector): [(neighbor, progress)],
+        # neighbors ascending; only sinks some neighbor progresses toward
+        self.cand: list[dict[int, list[list[tuple[int, float]]]]] = [
+            {} for _ in range(g.n_nodes)]
+        links = g.links
+        for (i, j) in sorted(self.prog):
+            s = links[(i, j)].sector_at_tx
+            per_sink_lists = self.cand[i]
+            for k, p in self.prog[(i, j)].items():
+                sectors = per_sink_lists.get(k)
+                if sectors is None:
+                    sectors = per_sink_lists[k] = [
+                        [] for _ in range(g.n_sectors)]
+                sectors[s].append((j, p))
 
     def _init_routing(self):
         cfg = self.cfg

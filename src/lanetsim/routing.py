@@ -18,17 +18,29 @@ Folding an advertisement (observe) is separated from re-deriving the
 table (recompute) so a batch of overheard advertisements costs one
 recomputation; `version` increments on every visible change, letting
 callers cache anything derived from the table.
+
+Adverts are incremental, as in DSDV's triggered updates (Perkins &
+Bhagwat, SIGCOMM 1994).  A node rebuilds its advert only when its own
+table or sector counts moved, and a rebuilt advert names the sinks
+whose record differs from its previous advert (`delta`) and carries
+that advert's table (`prev_table`).  A receiver whose stored
+observation is exactly that table marks only the delta's sinks stale;
+any other receiver (one that missed an advert, or one handed an advert
+built by hand without these keys) falls back to diffing the tables.
 """
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .core import Position, distance, sector_of
 from .reliability import access_prob
 from .rng import substream
 
 INF = math.inf
+_ID = itemgetter(0)
 
 
 def compute_beta(backlog: int, b_max: int) -> float:
@@ -118,7 +130,11 @@ class RoutingState:
             else:
                 self.entries[k] = SinkEntry()
                 self._sink_at[k] = (sinks[k], distance(position, sinks[k]))
+        # the advert to serve (None once stale) and the last one built
         self._adv_cache = None
+        self._adv_last = None
+        # sinks whose record moved since the last advert was built
+        self._adv_moved: set[int] = set()
         self._gmax_cache: dict[int, float] = {}
         # sinks whose stored observations moved since the last recompute
         self._dirty: set[int] = set()
@@ -132,54 +148,61 @@ class RoutingState:
 
         Returns True when anything the table derivation depends on
         actually moved, so callers can batch several observations and
-        recompute once.
+        recompute once.  An advert carrying `prev_table` must carry in
+        `delta` exactly the sinks whose record differs from that table.
         """
         j = advert["node"]
         if j == self.node_id:
             raise ValueError("node cannot observe itself")
+        tbl = advert["table"]
+        counts = advert["sector_counts"]
         ob = self.obs.get(j)
-        fresh = ob is None
-        if fresh:
+        if ob is None:
             pos = advert["position"]
             sec = sector_of(self.position, pos, self.n_sectors)
             rsec = sector_of(pos, self.position, self.n_sectors)
             ob = NeighborObservation(j, pos, rsec)
             self.obs[j] = ob
-            lst = self.obs_by_sector[sec]
-            lst.append((j, ob))
-            lst.sort(key=lambda t: t[0])
+            insort(self.obs_by_sector[sec], (j, ob), key=_ID)
             self._index_forward(ob)
-        tbl = advert["table"]
-        counts = advert["sector_counts"]
-        if not fresh and ob.table is tbl and ob.sector_counts is counts:
-            # an unchanged sender re-serves the cached advert object
-            return False
-        if fresh:
-            self._dirty.update(tbl)
+            moved = tbl
+            recount = True
+            self._adv_cache = None   # our own sector counts grew
         else:
             old = ob.table
-            if old == tbl:
-                if ob.sector_counts == counts:
-                    ob.table = tbl
-                    ob.sector_counts = counts
+            if old is tbl:
+                if ob.sector_counts is counts:
+                    # an unchanged sender re-serves the cached advert
                     return False
-                self._dirty.update(self.sinks)
+                moved = ()
+            elif advert.get("prev_table") is old:
+                moved = advert["delta"]
+            elif old == tbl:
+                moved = ()
             else:
-                for k in old.keys() | tbl.keys():
-                    if old.get(k) != tbl.get(k):
-                        self._dirty.add(k)
-                if ob.sector_counts != counts:
-                    self._dirty.update(self.sinks)
+                moved = [k for k in old.keys() | tbl.keys()
+                         if old.get(k) != tbl.get(k)]
+            recount = ob.sector_counts != counts
+            if not moved and not recount:
+                ob.table = tbl
+                ob.sector_counts = counts
+                return False
+            if recount:
+                self._dirty.update(self.sinks)
+        self._dirty.update(moved)
+        gmax = self._gmax_cache
+        if gmax:
+            for k in moved:
+                gmax.pop(k, None)
         ob.table = tbl
         ob.sector_counts = counts
-        static = self.link_static.get(j)
-        if static is not None and counts:
-            m = max(1, counts[ob.reverse_sector])
-            ob.p_link = static * access_prob(self.cw, m)
+        if recount:
+            static = self.link_static.get(j)
+            if static is not None and counts:
+                m = max(1, counts[ob.reverse_sector])
+                ob.p_link = static * access_prob(self.cw, m)
         self.version += 1
         self.obs_version += 1
-        self._adv_cache = None
-        self._gmax_cache.clear()
         return True
 
     def update_from_control(self, advert: dict, backlogs):
@@ -192,9 +215,8 @@ class RoutingState:
         """Slot one observation into the per-sink forward-progress lists."""
         for k, (pos, d) in self._sink_at.items():
             if distance(ob.position, pos) < d:
-                lst = self._fwd.setdefault(k, [])
-                lst.append((ob.neighbor, ob))
-                lst.sort(key=lambda t: t[0])
+                insort(self._fwd.setdefault(k, []), (ob.neighbor, ob),
+                       key=_ID)
 
     # -- recomputation -----------------------------------------------
 
@@ -263,6 +285,7 @@ class RoutingState:
                     entry.best = best
             if g_new != entry.gamma or h_new != entry.mhc:
                 changed = True
+                self._adv_moved.add(k)
                 if h_new != entry.mhc or (g_new == 0.0) != (entry.gamma == 0.0):
                     worthy = True
                 entry.gamma = g_new
@@ -280,16 +303,48 @@ class RoutingState:
     # -- outbound ----------------------------------------------------
 
     def advertisement(self) -> dict:
-        """Snapshot other nodes may fold in via observe/update_from_control."""
+        """Snapshot other nodes may fold in via observe/update_from_control.
+
+        Built once per change of the table or the sector counts.  Past
+        the first, an advert carries the previous advert's table as
+        `prev_table` and, as `delta`, the sinks whose record differs
+        from it; the table object is shared while no record differs.
+        """
         adv = self._adv_cache
-        if adv is None:
+        if adv is not None:
+            return adv
+        entries = self.entries
+        counts = tuple(len(s) for s in self.obs_by_sector)
+        last = self._adv_last
+        if last is None:
             adv = {
                 "node": self.node_id,
                 "position": self.position,
-                "table": {k: (e.gamma, e.mhc) for k, e in self.entries.items()},
-                "sector_counts": tuple(len(s) for s in self.obs_by_sector),
+                "table": {k: (e.gamma, e.mhc) for k, e in entries.items()},
+                "sector_counts": counts,
             }
-            self._adv_cache = adv
+        else:
+            prev = last["table"]
+            delta = tuple(k for k in sorted(self._adv_moved)
+                          if prev[k] != (entries[k].gamma, entries[k].mhc))
+            if not delta and counts == last["sector_counts"]:
+                adv = last
+            else:
+                table = prev
+                if delta:
+                    table = dict(prev)
+                    for k in delta:
+                        table[k] = (entries[k].gamma, entries[k].mhc)
+                adv = {
+                    "node": self.node_id,
+                    "position": self.position,
+                    "table": table,
+                    "sector_counts": counts,
+                    "prev_table": prev,
+                    "delta": delta,
+                }
+        self._adv_moved.clear()
+        self._adv_cache = self._adv_last = adv
         return adv
 
     def gamma_max(self, k: int) -> float:

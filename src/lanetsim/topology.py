@@ -9,6 +9,7 @@ single geometry can carry different channel configurations.
 from __future__ import annotations
 
 import json
+import math
 import random
 
 from .core import DirectedLink, Position, distance, sector_of
@@ -40,13 +41,30 @@ class ConnectivityGraph:
     # -- construction ------------------------------------------------
 
     def _feasible_links(self, capacity_bps):
+        """Both directions of every pair within range, pairs ascending.
+
+        Nodes are bucketed into square cells slightly wider than
+        range_m, so a pair within range lies in the same or adjacent
+        cells; the slack keeps that true under float rounding of the
+        cell indices.
+        """
+        positions = self.positions
+        r = self.range_m
+        side = r * (1.0 + 1e-6) if r > 0.0 else 1.0
+        cell_of = [(math.floor(p.x / side), math.floor(p.y / side))
+                   for p in positions]
+        cells: dict[tuple[int, int], list[int]] = {}
+        for i, c in enumerate(cell_of):
+            cells.setdefault(c, []).append(i)
         links = {}
-        n = len(self.positions)
-        for i in range(n):
-            pi = self.positions[i]
-            for j in range(i + 1, n):
-                pj = self.positions[j]
-                if distance(pi, pj) <= self.range_m:
+        for i, (cx, cy) in enumerate(cell_of):
+            near = [j for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                    for j in cells.get((cx + dx, cy + dy), ()) if j > i]
+            near.sort()
+            pi = positions[i]
+            for j in near:
+                pj = positions[j]
+                if distance(pi, pj) <= r:
                     s_ij = sector_of(pi, pj, self.n_sectors)
                     s_ji = sector_of(pj, pi, self.n_sectors)
                     links[(i, j)] = DirectedLink(i, j, s_ij, s_ji,

@@ -15,7 +15,7 @@ from lanetsim.engine import (Reservation, Simulation, SlotClock,
                              sample_link_outcome)
 from lanetsim.reliability import protocol_link_probs, rrs_fixed_point_oracle
 from lanetsim.rng import substream
-from lanetsim.routing import RoutingState
+from lanetsim.routing import EstimationModel, RoutingState
 from lanetsim.topology import ConnectivityGraph
 
 from fleet import B_MAX, CW, FLEET, chain, lattice, sink_positions, stamp
@@ -162,13 +162,22 @@ def test_full_duplex_emerges_with_reverse_traffic():
 # -- warm-up against the fixed-point oracle -----------------------------
 
 
+def without_delta(adv):
+    """A copy of an advert as a hand-built one: no delta, a fresh table."""
+    return {"node": adv["node"], "position": adv["position"],
+            "table": dict(adv["table"]),
+            "sector_counts": adv["sector_counts"]}
+
+
 def flood_one_advert_at_a_time(graph, states, rounds_cap=0):
-    """The flood with a recompute after every single advert."""
+    """The flood over every link in every round, with a recompute after
+    every single advert, each folded by diffing whole tables."""
     if rounds_cap <= 0:
         rounds_cap = graph.n_nodes + 8
     rounds = 0
     for _ in range(rounds_cap):
-        adverts = {i: states[i].advertisement() for i in sorted(states)}
+        adverts = {i: without_delta(states[i].advertisement())
+                   for i in sorted(states)}
         changed_any = False
         for i in sorted(states):
             for j in graph.out_neighbors(i):
@@ -180,25 +189,37 @@ def flood_one_advert_at_a_time(graph, states, rounds_cap=0):
     return rounds
 
 
-def fresh_states(graph):
-    return {i: RoutingState(i, graph.positions[i], sink_positions(graph),
-                            graph.n_sectors, CW, B_MAX,
-                            {j: (1.0 - graph.links[(i, j)].p_e)
-                             * (1.0 - graph.links[(i, j)].p_b)
-                             for j in graph.out_neighbors(i)})
-            for i in range(graph.n_nodes)}
+def fresh_states(graph, estimation_error=0.0):
+    """Unflooded routing states, link estimates drawn as the engine does."""
+    est = EstimationModel(estimation_error, 5)
+    states = {}
+    for i in range(graph.n_nodes):
+        static = {}
+        for j in graph.out_neighbors(i):
+            lk = graph.links[(i, j)]
+            static[j] = (1.0 - est.perturb(lk.p_e, i, j, "pe")) \
+                * (1.0 - est.perturb(lk.p_b, i, j, "pb"))
+        states[i] = RoutingState(i, graph.positions[i], sink_positions(graph),
+                                 graph.n_sectors, CW, B_MAX, static)
+    return states
 
 
-FLOOD_GRAPHS = FLEET + [
-    ("desk-grid", build_topology(ScenarioConfig())),
-    ("desk-grid-dark", build_topology(ScenarioConfig(severe_fraction=0.5)))]
+# (name, graph, relative estimation error)
+FLOOD_GRAPHS = [(name, g, 0.0) for name, g in FLEET] + [
+    ("desk-grid", build_topology(ScenarioConfig()), 0.0),
+    ("desk-grid-dark", build_topology(ScenarioConfig(severe_fraction=0.5)),
+     0.0),
+    # campus density: 400 random nodes and 20 sinks on a 50 m side
+    ("campus-noisy", build_topology(ScenarioConfig(
+        topology="random", n_nodes=400, n_sinks=20, area_side_m=50.0,
+        seed=7)), 0.2)]
 
 
-@pytest.mark.parametrize("graph", [pytest.param(g, id=name)
-                                   for name, g in FLOOD_GRAPHS])
-def test_batched_flood_matches_per_advert_flood(graph):
-    batched = fresh_states(graph)
-    one_by_one = fresh_states(graph)
+@pytest.mark.parametrize("graph,eps", [pytest.param(g, eps, id=name)
+                                       for name, g, eps in FLOOD_GRAPHS])
+def test_batched_flood_matches_per_advert_flood(graph, eps):
+    batched = fresh_states(graph, eps)
+    one_by_one = fresh_states(graph, eps)
     rounds = flood_routing_tables(graph, batched)
     assert rounds == flood_one_advert_at_a_time(graph, one_by_one)
     for i in range(graph.n_nodes):

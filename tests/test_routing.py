@@ -1,5 +1,6 @@
 """Distributed routing state: observation folding, recomputation, caching."""
 import math
+import random
 
 import pytest
 
@@ -253,3 +254,99 @@ def test_beta_rejects_bad_arguments():
         compute_beta(101, 100)
     with pytest.raises(ValueError):
         compute_beta(0, 0)
+
+
+# -- incremental adverts --------------------------------------------------
+
+
+def test_missed_advert_falls_back_to_the_diff():
+    g = lattice(4, 4, diagonal=True, sinks=[0, 15])
+    sender = flooded_states(g)[5]
+    missed = flooded_states(g)[6]
+    heard_all = flooded_states(g)[6]
+    first = sender.advertisement()
+    assert not missed.observe(first)
+    assert not heard_all.observe(first)
+
+    sender.recompute({0: B_MAX // 2})
+    second = sender.advertisement()
+    assert second["prev_table"] is first["table"]
+    assert second["delta"] == (0,)
+    assert heard_all.observe(second)
+    assert heard_all._dirty == {0}
+
+    sender.recompute({0: B_MAX // 2, 15: B_MAX // 2})
+    third = sender.advertisement()
+    assert third["prev_table"] is second["table"]
+    assert third["delta"] == (15,)
+    assert heard_all.observe(third)
+    # missed the second advert, so its stored table is not third's
+    # prev_table: the diff finds both sinks
+    assert missed.observe(third)
+    assert missed._dirty == heard_all._dirty == {0, 15}
+    assert missed.recompute({}) == heard_all.recompute({})
+    assert missed.snapshot() == heard_all.snapshot()
+
+
+def test_record_changed_and_back_marks_nothing():
+    g = lattice(4, 4, diagonal=True, sinks=[0, 15])
+    sender = flooded_states(g)[5]
+    rx = flooded_states(g)[6]
+    first = sender.advertisement()
+    assert not rx.observe(first)
+    v0 = rx.version
+
+    # sink 0's record moves and moves back before the next advert
+    assert sender.recompute({0: B_MAX // 2})[0]
+    assert sender.recompute({})[0]
+    assert sender.advertisement()["table"] == first["table"]
+    assert not rx.observe(sender.advertisement())
+    assert rx._dirty == set()
+    assert rx.version == v0
+
+    # the same round trip for sink 0 while sink 15 really moves
+    sender.recompute({0: B_MAX // 2})
+    sender.recompute({15: B_MAX // 2})
+    adv = sender.advertisement()
+    assert adv["delta"] == (15,)
+    assert rx.observe(adv)
+    assert rx._dirty == {15}
+
+
+def test_gamma_max_matches_rescan_after_every_fold():
+    rng = random.Random(3)
+    g = lattice(3, 3, diagonal=True, sinks=[0, 2, 8])
+    st = fresh_state(g, 4)
+    sinks = g.sinks
+    sent: dict[int, dict] = {}
+    for _ in range(400):
+        j = rng.choice(g.out_neighbors(4))
+        last = sent.get(j)
+        if last is None or rng.random() < 0.3:
+            # a hand-built advert: fresh table, no delta
+            table = {k: (rng.choice((0.0, 0.25, 0.5, 0.75)),
+                         rng.choice((1, 2, INF)))
+                     for k in sinks if rng.random() < 0.8}
+            adv = {"node": j, "position": g.positions[j], "table": table,
+                   "sector_counts": (rng.randint(0, 3),) * 4}
+        else:
+            prev = last["table"]
+            if rng.random() < 0.3:
+                table = prev    # a counts-only change
+            else:
+                table = dict(prev)
+                for k in rng.sample(sinks, rng.randint(1, len(sinks))):
+                    table[k] = (rng.choice((0.0, 0.25, 0.5, 0.75)), 1)
+            adv = {"node": j, "position": g.positions[j], "table": table,
+                   "sector_counts": (rng.randint(0, 3),) * 4,
+                   "prev_table": prev,
+                   "delta": tuple(k for k in sinks
+                                  if prev.get(k) != table.get(k))}
+        sent[j] = adv
+        for k in sinks:
+            st.gamma_max(k)         # fill the cache before the fold
+        st.observe(adv)
+        for k in sinks:
+            want = max((ob.table[k][0] for ob in st.obs.values()
+                        if k in ob.table), default=0.0)
+            assert st.gamma_max(k) == want

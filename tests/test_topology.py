@@ -1,14 +1,16 @@
 """Deployment builders, link derivation, and channel assignment."""
 import math
+import random
 
 import pytest
 
-from lanetsim.core import distance, opposite_sector
+from lanetsim.core import DirectedLink, Position, distance, opposite_sector, \
+    sector_of
 from lanetsim.topology import (ConnectivityGraph, assign_blockage,
                                assign_error_probs, build_grid, build_random,
                                default_grid_sinks)
 
-from fleet import chain, lattice
+from fleet import FLEET, chain, lattice
 
 
 def test_grid_pitch_and_interior_degree():
@@ -144,3 +146,51 @@ def test_json_round_trip(tmp_path):
     p2 = tmp_path / "g2.json"
     h.save(p2)
     assert p2.read_bytes() == path.read_bytes()
+
+
+# -- link derivation against all pairs ------------------------------------
+
+
+def all_pairs_links(positions, range_m, n_sectors):
+    """Every pair within range, both directions, pairs ascending."""
+    links = {}
+    for i, pi in enumerate(positions):
+        for j in range(i + 1, len(positions)):
+            pj = positions[j]
+            if distance(pi, pj) <= range_m:
+                s_ij = sector_of(pi, pj, n_sectors)
+                s_ji = sector_of(pj, pi, n_sectors)
+                links[(i, j)] = DirectedLink(i, j, s_ij, s_ji)
+                links[(j, i)] = DirectedLink(j, i, s_ji, s_ij)
+    return links
+
+
+def random_deployments():
+    rng = random.Random(17)
+    for n, side, reach in ((60, 10.0, 2.0), (200, 20.0, 1.3),
+                           (50, 3.0, 10.0), (80, 40.0, 0.7)):
+        yield [Position(rng.uniform(-side, side), rng.uniform(0.0, side))
+               for _ in range(n)], reach
+
+
+def pitch_lattices():
+    # pitch equal to the range: pairs sit exactly at range, on the cell
+    # edges and corners, with pitches that do not divide evenly in binary
+    for pitch in (1.0, 0.1, 0.3, 2.5, 4.0):
+        yield [Position(c * pitch - 3 * pitch, r * pitch)
+               for r in range(7) for c in range(7)], pitch
+
+
+CELL_CASES = ([pytest.param(g.positions, g.range_m, id=name)
+               for name, g in FLEET]
+              + [pytest.param(pos, reach, id=f"random{i}")
+                 for i, (pos, reach) in enumerate(random_deployments())]
+              + [pytest.param(pos, pitch, id=f"pitch{pitch}")
+                 for pos, pitch in pitch_lattices()])
+
+
+@pytest.mark.parametrize("positions,range_m", CELL_CASES)
+def test_cell_grid_links_equal_all_pairs(positions, range_m):
+    g = ConnectivityGraph(positions, [0], 4, range_m, 10.0)
+    want = all_pairs_links(positions, range_m, 4)
+    assert list(g.links.items()) == list(want.items())
