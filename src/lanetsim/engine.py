@@ -94,12 +94,11 @@ class SlotClock:
         return m * self.slot_us
 
 
-def sample_link_outcome(link, kind: str, rng) -> str:
+def sample_link_outcome(link, rng) -> str:
     """One transmission over a link: blockage draw, then error draw.
 
-    `kind` labels the frame (control or data) for callers that care;
-    both kinds face the same link probabilities.  Returns "delivered",
-    "lost_blockage", or "lost_error".
+    Control and data frames face the same link probabilities.  Returns
+    "delivered", "lost_blockage", or "lost_error".
     """
     if link.p_b and rng.random() < link.p_b:
         return "lost_blockage"
@@ -461,19 +460,10 @@ class Simulation:
         cfg = self.cfg
         g = self.graph
         est = EstimationModel(cfg.estimation_error, cfg.seed)
-        sinks = {k: g.positions[k] for k in g.sinks}
         states = {}
         for i in range(g.n_nodes):
-            static = {}
-            for j in g.out_neighbors(i):
-                lk = g.links[(i, j)]
-                pe = est.perturb(lk.p_e, i, j, "pe")
-                pb = est.perturb(lk.p_b, i, j, "pb")
-                static[j] = (1.0 - pe) * (1.0 - pb)
-            st = RoutingState(i, g.positions[i], sinks, g.n_sectors,
-                              cfg.cw, cfg.b_max, static)
-            states[i] = st
-            self.nodes[i].routing = st
+            states[i] = self.nodes[i].routing = RoutingState(
+                i, g, cfg.cw, cfg.b_max, est)
         rounds = flood_routing_tables(g, states)
         self.warmup_us = rounds * self.clock.super_us
         self.trace.emit(0, -1, "warmup", f"rounds={rounds}")
@@ -492,7 +482,8 @@ class Simulation:
         return c
 
     def _chan_ok(self, i: int, j: int) -> bool:
-        # inlined sample_link_outcome: same draws in the same order
+        # sample_link_outcome(link, rng) inlined, rng being the link's
+        # "chan" substream: same draws in the same order
         c = self._chan_cache.get(i * self._nn + j)
         if c is None:
             c = self._chan_entry(i, j)

@@ -4,10 +4,11 @@ Each node keeps, per sink, its route reliability score (RRS, the
 estimated probability that a packet handed to this node reaches the
 sink) and minimum hop count (MHC), both learned purely from overheard
 neighbor advertisements.  Sinks advertise themselves with RRS 1 and MHC
-0, so first-hop seeding falls out of the general update rule.  Sink
-positions are given at construction, from the same deployment map the
-MAC utilities and greedy forwarding read; they only fix which neighbors
-make forward progress toward each sink, and adverts carry none.
+0, so first-hop seeding falls out of the general update rule.  A node
+reads its neighborhood from the deployment map it is built on: each
+neighbor's sector and reverse sector from the graph's links, and which
+neighbors make forward progress toward each sink from the graph's
+node-sink distances.  Adverts carry only the table and sector counts.
 
 The recomputation deliberately mirrors the fixed-point oracle in
 reliability.py down to iteration order (neighbors in ascending id within
@@ -35,9 +36,9 @@ from bisect import insort
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .core import Position, distance, sector_of
 from .reliability import access_prob
 from .rng import substream
+from .topology import ConnectivityGraph
 
 INF = math.inf
 _ID = itemgetter(0)
@@ -86,7 +87,6 @@ class SinkEntry:
 class NeighborObservation:
     """What a node has heard from one neighbor."""
     neighbor: int
-    position: Position
     reverse_sector: int  # sector of the owner as seen from the neighbor
     table: dict = field(default_factory=dict)   # sink -> (gamma, mhc)
     sector_counts: tuple = ()
@@ -94,42 +94,41 @@ class NeighborObservation:
 
 
 class RoutingState:
-    """RRS/MHC bookkeeping for one node.
+    """RRS/MHC bookkeeping for one node of a deployment graph.
 
-    `link_static` maps out-neighbor -> (1 - p_e_hat) * (1 - p_b_hat); the
-    access factor is folded in per advertisement because it depends on
-    the neighbor's advertised contender count.  `sinks` maps each sink
-    to its position.
+    `link_static` maps out-neighbor -> (1 - p_e_hat) * (1 - p_b_hat), the
+    link estimates drawn from `estimation`; the access factor is folded
+    in per advertisement because it depends on the neighbor's advertised
+    contender count.
     """
 
-    def __init__(self, node_id: int, position: Position,
-                 sinks: dict[int, Position], n_sectors: int, cw: int,
-                 b_max: int, link_static: dict[int, float]):
+    def __init__(self, node_id: int, graph: ConnectivityGraph, cw: int,
+                 b_max: int, estimation: EstimationModel):
         self.node_id = node_id
-        self.position = position
-        self.sinks = sorted(sinks)
-        self.n_sectors = n_sectors
+        self.sinks = graph.sinks
         self.cw = cw
         if b_max < 1:
             raise ValueError("b_max must be >= 1")
         self.b_max = b_max
-        self.link_static = link_static
+        self._links = graph.links
+        self._sink_dist = graph.sink_dist
+        perturb = estimation.perturb
+        self.link_static: dict[int, float] = {}
+        for j in graph.out_neighbors(node_id):
+            lk = graph.links[(node_id, j)]
+            self.link_static[j] = (
+                (1.0 - perturb(lk.p_e, node_id, j, "pe"))
+                * (1.0 - perturb(lk.p_b, node_id, j, "pb")))
         self.version = 0
         # bumps only when an observation moves, not on a recompute
         self.obs_version = 0
         self.obs: dict[int, NeighborObservation] = {}
         # ascending-id views kept in lockstep with obs for cheap iteration
-        self.obs_by_sector: list[list] = [[] for _ in range(n_sectors)]
+        self.obs_by_sector: list[list] = [[] for _ in range(graph.n_sectors)]
         self._fwd: dict[int, list] = {}   # sink -> [(id, obs)] forward only
-        self.entries: dict[int, SinkEntry] = {}
-        # sink -> (its position, our distance to it)
-        self._sink_at: dict[int, tuple] = {}
-        for k in self.sinks:
-            if k == node_id:
-                self.entries[k] = SinkEntry(1.0, 0)
-            else:
-                self.entries[k] = SinkEntry()
-                self._sink_at[k] = (sinks[k], distance(position, sinks[k]))
+        self.entries: dict[int, SinkEntry] = {
+            k: SinkEntry(1.0, 0) if k == node_id else SinkEntry()
+            for k in self.sinks}
         # the advert to serve (None once stale) and the last one built
         self._adv_cache = None
         self._adv_last = None
@@ -148,8 +147,9 @@ class RoutingState:
 
         Returns True when anything the table derivation depends on
         actually moved, so callers can batch several observations and
-        recompute once.  An advert carrying `prev_table` must carry in
-        `delta` exactly the sinks whose record differs from that table.
+        recompute once.  The sender must be a graph neighbor.  An advert
+        carrying `prev_table` must carry in `delta` exactly the sinks whose
+        record differs from that table.
         """
         j = advert["node"]
         if j == self.node_id:
@@ -158,12 +158,10 @@ class RoutingState:
         counts = advert["sector_counts"]
         ob = self.obs.get(j)
         if ob is None:
-            pos = advert["position"]
-            sec = sector_of(self.position, pos, self.n_sectors)
-            rsec = sector_of(pos, self.position, self.n_sectors)
-            ob = NeighborObservation(j, pos, rsec)
+            lk = self._links[(self.node_id, j)]
+            ob = NeighborObservation(j, lk.sector_at_rx)
             self.obs[j] = ob
-            insort(self.obs_by_sector[sec], (j, ob), key=_ID)
+            insort(self.obs_by_sector[lk.sector_at_tx], (j, ob), key=_ID)
             self._index_forward(ob)
             moved = tbl
             recount = True
@@ -197,24 +195,18 @@ class RoutingState:
         ob.table = tbl
         ob.sector_counts = counts
         if recount:
-            static = self.link_static.get(j)
-            if static is not None and counts:
-                m = max(1, counts[ob.reverse_sector])
-                ob.p_link = static * access_prob(self.cw, m)
+            m = max(1, counts[ob.reverse_sector])
+            ob.p_link = self.link_static[j] * access_prob(self.cw, m)
         self.version += 1
         self.obs_version += 1
         return True
 
-    def update_from_control(self, advert: dict, backlogs):
-        """Observe plus immediate recompute; returns (changed, worthy)."""
-        if not self.observe(advert):
-            return False, False
-        return self.recompute(backlogs)
-
     def _index_forward(self, ob: NeighborObservation) -> None:
         """Slot one observation into the per-sink forward-progress lists."""
-        for k, (pos, d) in self._sink_at.items():
-            if distance(ob.position, pos) < d:
+        near = self._sink_dist[ob.neighbor]
+        # strictly closer; a sink's own entry (distance 0) never passes
+        for k, d in self._sink_dist[self.node_id].items():
+            if near[k] < d:
                 insort(self._fwd.setdefault(k, []), (ob.neighbor, ob),
                        key=_ID)
 
@@ -303,7 +295,7 @@ class RoutingState:
     # -- outbound ----------------------------------------------------
 
     def advertisement(self) -> dict:
-        """Snapshot other nodes may fold in via observe/update_from_control.
+        """Snapshot other nodes may fold in via observe.
 
         Built once per change of the table or the sector counts.  Past
         the first, an advert carries the previous advert's table as
@@ -319,7 +311,6 @@ class RoutingState:
         if last is None:
             adv = {
                 "node": self.node_id,
-                "position": self.position,
                 "table": {k: (e.gamma, e.mhc) for k, e in entries.items()},
                 "sector_counts": counts,
             }
@@ -337,7 +328,6 @@ class RoutingState:
                         table[k] = (entries[k].gamma, entries[k].mhc)
                 adv = {
                     "node": self.node_id,
-                    "position": self.position,
                     "table": table,
                     "sector_counts": counts,
                     "prev_table": prev,

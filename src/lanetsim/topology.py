@@ -127,18 +127,28 @@ class ConnectivityGraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ConnectivityGraph":
+        """Inverse of to_json_dict; every link must be listed both ways."""
         nodes = sorted(doc["nodes"], key=lambda d: d["id"])
         if [d["id"] for d in nodes] != list(range(len(nodes))):
             raise ValueError("node ids must be dense 0..n-1")
         positions = [Position(d["x"], d["y"]) for d in nodes]
         n_sectors = doc["n_sectors"]
+        ids = range(len(positions))
         links = {}
         for rec in doc["links"]:
             i, j = rec["tx"], rec["rx"]
+            if i not in ids or j not in ids:
+                raise ValueError(f"link ({i}, {j}): endpoint is not a node id")
+            if i == j:
+                raise ValueError(f"link ({i}, {j}) is a self-link")
             s_ij = sector_of(positions[i], positions[j], n_sectors)
             s_ji = sector_of(positions[j], positions[i], n_sectors)
             links[(i, j)] = DirectedLink(i, j, s_ij, s_ji, rec["p_e"],
                                          rec["p_b"], rec["capacity_bps"])
+        for (i, j) in links:
+            if (j, i) not in links:
+                raise ValueError(f"link ({i}, {j}) is listed without its "
+                                 f"reverse ({j}, {i})")
         g = cls(positions, doc["sinks"], n_sectors, doc["range_m"],
                 doc["area_side_m"], links=links)
         return g

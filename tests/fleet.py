@@ -8,6 +8,7 @@ seeds.
 from __future__ import annotations
 
 from lanetsim.core import Position, distance
+from lanetsim.routing import EstimationModel, RoutingState
 from lanetsim.topology import (ConnectivityGraph, assign_blockage,
                                assign_error_probs, build_random)
 
@@ -87,29 +88,23 @@ def iter_forward_routes(graph, src, sink):
     return sorted(found)
 
 
-def sink_positions(graph: ConnectivityGraph) -> dict[int, Position]:
-    """{sink: position}, as `RoutingState` takes its sinks."""
-    return {k: graph.positions[k] for k in graph.sinks}
+def fresh_states(graph: ConnectivityGraph,
+                 estimation_error: float = 0.0) -> dict:
+    """Unflooded routing states, built as the engine builds them."""
+    est = EstimationModel(estimation_error, 5)
+    return {i: RoutingState(i, graph, CW, B_MAX, est)
+            for i in range(graph.n_nodes)}
 
 
-def flooded_states(graph: ConnectivityGraph, cw: int = CW,
-                   b_max: int = B_MAX) -> dict:
-    """Distributed routing state after synchronous advertisement rounds.
+def flooded_states(graph: ConnectivityGraph) -> dict:
+    """Routing state after the engine's warm-up flood.
 
-    Mirrors the engine's warm-up with exact channel knowledge, so the
-    result is directly comparable to the fixed-point oracle.
+    Channel knowledge is exact, so the result is directly comparable to
+    the fixed-point oracle.
     """
     from lanetsim.engine import flood_routing_tables
-    from lanetsim.routing import RoutingState
 
-    states = {}
-    for i in range(graph.n_nodes):
-        static = {j: (1.0 - graph.links[(i, j)].p_e)
-                  * (1.0 - graph.links[(i, j)].p_b)
-                  for j in graph.out_neighbors(i)}
-        states[i] = RoutingState(i, graph.positions[i],
-                                 sink_positions(graph), graph.n_sectors, cw,
-                                 b_max, static)
+    states = fresh_states(graph)
     flood_routing_tables(graph, states)
     return states
 

@@ -176,6 +176,30 @@ def test_export_graph_round_trips(tmp_path, capsys):
     assert doc["sinks"] == [8]
 
 
+def test_one_way_graph_file_exits_one_before_any_run(tmp_path, capsys,
+                                                    monkeypatch):
+    path = tmp_path / "grid.json"
+    assert main(["export-graph", "--set", "rows=4", "--set", "cols=4",
+                 "--set", "area_side_m=10", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    kept = [rec for rec in doc["links"] if (rec["tx"], rec["rx"]) != (7, 11)]
+    assert len(kept) == len(doc["links"]) - 1
+    doc["links"] = kept
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+
+    def no_run(self):
+        raise AssertionError("run started on a malformed graph")
+
+    monkeypatch.setattr(engine.Simulation, "run", no_run)
+    out = tmp_path / "m.json"
+    assert main(["run", "--set", "topology=file", "--set",
+                 f"graph_file={path}", "--out", str(out)]) == 1
+    assert "link (11, 7) is listed without its reverse (7, 11)" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_export_graph_requires_out():
     with pytest.raises(SystemExit) as exc:
         main(["export-graph"])

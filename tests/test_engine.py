@@ -15,10 +15,9 @@ from lanetsim.engine import (Reservation, Simulation, SlotClock,
                              sample_link_outcome)
 from lanetsim.reliability import protocol_link_probs, rrs_fixed_point_oracle
 from lanetsim.rng import substream
-from lanetsim.routing import EstimationModel, RoutingState
 from lanetsim.topology import ConnectivityGraph
 
-from fleet import B_MAX, CW, FLEET, chain, lattice, sink_positions, stamp
+from fleet import FLEET, chain, fresh_states, lattice, stamp
 
 
 class ScriptRng:
@@ -64,20 +63,16 @@ def test_next_aligned_slot():
 
 def test_outcome_draw_order_blockage_then_error():
     link = SimpleNamespace(p_b=0.3, p_e=0.2)
-    assert sample_link_outcome(link, "data", ScriptRng([0.25])) \
-        == "lost_blockage"
-    assert sample_link_outcome(link, "data", ScriptRng([0.35, 0.15])) \
-        == "lost_error"
-    assert sample_link_outcome(link, "data", ScriptRng([0.35, 0.25])) \
-        == "delivered"
+    assert sample_link_outcome(link, ScriptRng([0.25])) == "lost_blockage"
+    assert sample_link_outcome(link, ScriptRng([0.35, 0.15])) == "lost_error"
+    assert sample_link_outcome(link, ScriptRng([0.35, 0.25])) == "delivered"
 
 
 def test_outcome_skips_draws_for_zero_probabilities():
     clean = SimpleNamespace(p_b=0.0, p_e=0.0)
-    assert sample_link_outcome(clean, "control", ForbiddenRng()) == "delivered"
+    assert sample_link_outcome(clean, ForbiddenRng()) == "delivered"
     only_err = SimpleNamespace(p_b=0.0, p_e=0.2)
-    assert sample_link_outcome(only_err, "control", ScriptRng([0.5])) \
-        == "delivered"
+    assert sample_link_outcome(only_err, ScriptRng([0.5])) == "delivered"
 
 
 def test_outcome_monte_carlo_frequencies():
@@ -86,7 +81,7 @@ def test_outcome_monte_carlo_frequencies():
     n = 20000
     counts = {"delivered": 0, "lost_blockage": 0, "lost_error": 0}
     for _ in range(n):
-        counts[sample_link_outcome(link, "data", rng)] += 1
+        counts[sample_link_outcome(link, rng)] += 1
     assert counts["lost_blockage"] / n == pytest.approx(0.3, abs=0.02)
     assert counts["lost_error"] / n == pytest.approx(0.7 * 0.2, abs=0.02)
     assert counts["delivered"] / n == pytest.approx(0.7 * 0.8, abs=0.02)
@@ -100,7 +95,7 @@ def test_engine_channel_check_replays_link_substream():
     replay = substream(cfg.seed, "chan", 0, 1)
     link = g.links[(0, 1)]
     for _ in range(200):
-        want = sample_link_outcome(link, "control", replay) == "delivered"
+        want = sample_link_outcome(link, replay) == "delivered"
         assert sim._chan_ok(0, 1) == want
 
 
@@ -164,8 +159,7 @@ def test_full_duplex_emerges_with_reverse_traffic():
 
 def without_delta(adv):
     """A copy of an advert as a hand-built one: no delta, a fresh table."""
-    return {"node": adv["node"], "position": adv["position"],
-            "table": dict(adv["table"]),
+    return {"node": adv["node"], "table": dict(adv["table"]),
             "sector_counts": adv["sector_counts"]}
 
 
@@ -181,27 +175,13 @@ def flood_one_advert_at_a_time(graph, states, rounds_cap=0):
         changed_any = False
         for i in sorted(states):
             for j in graph.out_neighbors(i):
-                changed, _ = states[i].update_from_control(adverts[j], {})
-                changed_any = changed_any or changed
+                if states[i].observe(adverts[j]) \
+                        and states[i].recompute({})[0]:
+                    changed_any = True
         rounds += 1
         if not changed_any:
             break
     return rounds
-
-
-def fresh_states(graph, estimation_error=0.0):
-    """Unflooded routing states, link estimates drawn as the engine does."""
-    est = EstimationModel(estimation_error, 5)
-    states = {}
-    for i in range(graph.n_nodes):
-        static = {}
-        for j in graph.out_neighbors(i):
-            lk = graph.links[(i, j)]
-            static[j] = (1.0 - est.perturb(lk.p_e, i, j, "pe")) \
-                * (1.0 - est.perturb(lk.p_b, i, j, "pb"))
-        states[i] = RoutingState(i, graph.positions[i], sink_positions(graph),
-                                 graph.n_sectors, CW, B_MAX, static)
-    return states
 
 
 # (name, graph, relative estimation error)

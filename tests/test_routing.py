@@ -1,30 +1,21 @@
 """Distributed routing state: observation folding, recomputation, caching."""
-import math
 import random
 
 import pytest
 
 from lanetsim.core import Position
-from lanetsim.reliability import (access_prob, protocol_link_probs,
+from lanetsim.reliability import (mhc_map, protocol_link_probs,
                                   rrs_fixed_point_oracle)
-from lanetsim.routing import (INF, EstimationModel, RoutingState,
-                              compute_beta)
+from lanetsim.routing import INF, EstimationModel, compute_beta
+from lanetsim.topology import ConnectivityGraph
 
-from fleet import B_MAX, CW, chain, diamond, flooded_states, lattice, \
-    random_graph, sink_positions
-
-
-def fresh_state(graph, nid, cw=CW, b_max=B_MAX):
-    static = {j: (1.0 - graph.links[(nid, j)].p_e)
-              * (1.0 - graph.links[(nid, j)].p_b)
-              for j in graph.out_neighbors(nid)}
-    return RoutingState(nid, graph.positions[nid], sink_positions(graph),
-                        graph.n_sectors, cw, b_max, static)
+from fleet import B_MAX, CW, chain, diamond, flooded_states, fresh_states, \
+    lattice, random_graph, stamp
 
 
 def test_sink_seeds_its_own_entry():
     g = chain(3)
-    st = fresh_state(g, 2)
+    st = fresh_states(g)[2]
     assert st.entries[2].gamma == 1.0
     assert st.entries[2].mhc == 0
     assert st.snapshot() == {2: (1.0, 0)}
@@ -32,7 +23,7 @@ def test_sink_seeds_its_own_entry():
 
 def test_non_sink_starts_unreachable():
     g = chain(3)
-    st = fresh_state(g, 0)
+    st = fresh_states(g)[0]
     assert st.snapshot() == {2: (0.0, INF)}
 
 
@@ -53,6 +44,21 @@ def test_flood_matches_fixed_point_oracle(name, graph):
             assert got_h == want_h, f"{name} node {i} sink {k}"
             assert got_g == pytest.approx(want_g, abs=1e-9), \
                 f"{name} node {i} sink {k}"
+
+
+def test_forward_progress_is_strictly_closer():
+    # node 2 is as far from sink 0 as node 1 and within its range; only
+    # the route round the south side makes strict progress at every hop
+    pos = [Position(0, 0), Position(5, 0), Position(4, 3), Position(2, 2),
+           Position(4.6, -1.9), Position(2.6, -4.0), Position(0.5, -3.1)]
+    g = stamp(ConnectivityGraph(pos, sinks=[0], n_sectors=4, range_m=3.2,
+                                area_side_m=6.0))
+    assert (1, 2) in g.links and g.sink_dist[1][0] == g.sink_dist[2][0]
+    states = flooded_states(g)
+    want = mhc_map(g, 0)
+    assert want[1] == 4
+    for i in range(g.n_nodes):
+        assert states[i].snapshot()[0][1] == want[i], i
 
 
 def test_estimated_link_prob_matches_protocol_model():
@@ -82,13 +88,13 @@ def test_batched_observation_matches_immediate_updates():
         base = donors[j].advertisement()
         table = {k: (rec[0] * 0.9, rec[1])
                  for k, rec in base["table"].items()}
-        adverts.append({"node": j, "position": base["position"],
-                        "table": table,
+        adverts.append({"node": j, "table": table,
                         "sector_counts": base["sector_counts"]})
 
     one_by_one = flooded_states(g)[4]
     for adv in adverts:
-        one_by_one.update_from_control(adv, {})
+        if one_by_one.observe(adv):
+            one_by_one.recompute({})
 
     batched = flooded_states(g)[4]
     moved = False
@@ -143,9 +149,8 @@ def test_full_buffer_zeroes_gamma_and_is_worthy():
 
 def test_first_route_discovery_is_worthy():
     g = chain(3)
-    st = fresh_state(g, 0)
-    adv = {"node": 1, "position": g.positions[1],
-           "table": {2: (0.5, 1)},
+    st = fresh_states(g)[0]
+    adv = {"node": 1, "table": {2: (0.5, 1)},
            "sector_counts": (0, 0, 1, 0)}
     assert st.observe(adv)
     changed, worthy = st.recompute({})
@@ -163,8 +168,7 @@ def test_content_equal_advert_reports_no_change():
     v0 = st.version
 
     assert not st.observe(adv)          # same cached object
-    copy = {"node": adv["node"], "position": adv["position"],
-            "table": dict(adv["table"]),
+    copy = {"node": adv["node"], "table": dict(adv["table"]),
             "sector_counts": tuple(adv["sector_counts"])}
     assert not st.observe(copy)         # equal content, fresh objects
     assert st.version == v0
@@ -177,9 +181,8 @@ def test_advertisement_cached_until_state_moves():
 
     donor = flooded_states(g)[1]
     base = donor.advertisement()
-    bumped = {"node": 1, "position": base["position"],
-              "table": {k: (rec[0] * 0.5, rec[1])
-                        for k, rec in base["table"].items()},
+    bumped = {"node": 1, "table": {k: (rec[0] * 0.5, rec[1])
+                                   for k, rec in base["table"].items()},
               "sector_counts": base["sector_counts"]}
     before = st.advertisement()
     assert st.observe(bumped)
@@ -189,18 +192,20 @@ def test_advertisement_cached_until_state_moves():
 
 def test_observe_rejects_self():
     g = chain(3)
-    st = fresh_state(g, 0)
+    st = fresh_states(g)[0]
     with pytest.raises(ValueError):
-        st.observe({"node": 0, "position": g.positions[0],
-                    "table": {}, "sector_counts": ()})
+        st.observe({"node": 0, "table": {}, "sector_counts": ()})
 
 
 def test_isolated_node_never_changes():
-    g = chain(3)
-    st = RoutingState(0, Position(50.0, 50.0), sink_positions(g), 4, CW,
-                      B_MAX, {})
+    g = ConnectivityGraph([Position(0, 0), Position(1, 0), Position(50, 50)],
+                          sinks=[1], n_sectors=4, range_m=1.5,
+                          area_side_m=60.0)
+    assert g.out_neighbors(2) == []
+    st = fresh_states(g)[2]
+    assert st.link_static == {}
     assert st.recompute({}) == (False, False)
-    assert st.snapshot() == {2: (0.0, INF)}
+    assert st.snapshot() == {1: (0.0, INF)}
 
 
 # -- estimation model ---------------------------------------------------
@@ -316,7 +321,7 @@ def test_record_changed_and_back_marks_nothing():
 def test_gamma_max_matches_rescan_after_every_fold():
     rng = random.Random(3)
     g = lattice(3, 3, diagonal=True, sinks=[0, 2, 8])
-    st = fresh_state(g, 4)
+    st = fresh_states(g)[4]
     sinks = g.sinks
     sent: dict[int, dict] = {}
     for _ in range(400):
@@ -327,7 +332,7 @@ def test_gamma_max_matches_rescan_after_every_fold():
             table = {k: (rng.choice((0.0, 0.25, 0.5, 0.75)),
                          rng.choice((1, 2, INF)))
                      for k in sinks if rng.random() < 0.8}
-            adv = {"node": j, "position": g.positions[j], "table": table,
+            adv = {"node": j, "table": table,
                    "sector_counts": (rng.randint(0, 3),) * 4}
         else:
             prev = last["table"]
@@ -337,7 +342,7 @@ def test_gamma_max_matches_rescan_after_every_fold():
                 table = dict(prev)
                 for k in rng.sample(sinks, rng.randint(1, len(sinks))):
                     table[k] = (rng.choice((0.0, 0.25, 0.5, 0.75)), 1)
-            adv = {"node": j, "position": g.positions[j], "table": table,
+            adv = {"node": j, "table": table,
                    "sector_counts": (rng.randint(0, 3),) * 4,
                    "prev_table": prev,
                    "delta": tuple(k for k in sinks

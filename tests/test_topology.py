@@ -148,6 +148,33 @@ def test_json_round_trip(tmp_path):
     assert p2.read_bytes() == path.read_bytes()
 
 
+def test_json_rejects_one_way_link():
+    doc = lattice(4, 4).to_json_dict()
+    doc["links"] = [rec for rec in doc["links"]
+                    if (rec["tx"], rec["rx"]) != (7, 11)]
+    with pytest.raises(ValueError,
+                       match=r"link \(11, 7\) is listed without its reverse"):
+        ConnectivityGraph.from_json_dict(doc)
+
+
+def test_json_rejects_unknown_endpoint():
+    doc = lattice(4, 4).to_json_dict()
+    doc["links"].append(dict(doc["links"][0], rx=16))
+    with pytest.raises(ValueError,
+                       match=r"link \(0, 16\): endpoint is not a node id"):
+        ConnectivityGraph.from_json_dict(doc)
+    doc["links"][-1]["rx"] = -1
+    with pytest.raises(ValueError, match=r"link \(0, -1\)"):
+        ConnectivityGraph.from_json_dict(doc)
+
+
+def test_json_rejects_self_link():
+    doc = lattice(4, 4).to_json_dict()
+    doc["links"].append(dict(doc["links"][0], rx=0))
+    with pytest.raises(ValueError, match=r"link \(0, 0\) is a self-link"):
+        ConnectivityGraph.from_json_dict(doc)
+
+
 # -- link derivation against all pairs ------------------------------------
 
 
