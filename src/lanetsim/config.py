@@ -74,8 +74,27 @@ class ScenarioConfig:
             raise ValueError("acn_window must be >= 1")
         if self.cw + self.acn_window + 1 > self.cms_per_slot:
             raise ValueError("slot too short for cw + acn_window + RES")
+        if self.topology == "grid":
+            try:
+                sinks = self.grid_sink_ids()
+            except ValueError:
+                raise ValueError("grid_sinks must be 'corners+center' or "
+                                 f"node ids, got {self.grid_sinks!r}") from None
+            if sinks == []:
+                raise ValueError("grid_sinks names no sink")
+            if sinks and len(set(sinks)) != len(sinks):
+                raise ValueError("grid_sinks repeats a node id: "
+                                 f"{self.grid_sinks!r}")
         if self.sessions < 1 or self.packets_per_session < 1:
             raise ValueError("need at least one session and one packet")
+        # a frame must take at least one microsecond on the air
+        for name in ("link_rate_bps", "control_bytes", "data_bytes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.retry_limit < 0:
+            raise ValueError("retry_limit must be >= 0")
+        if not self.backoff_utility_scale >= 0.0:
+            raise ValueError("backoff_utility_scale must be >= 0")
         if self.b_max < 1:
             raise ValueError("b_max must be >= 1")
         if not 0.0 <= self.estimation_error < 1.0:
@@ -89,6 +108,12 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.csma_cw_min < 1 or self.csma_cw_max < self.csma_cw_min:
             raise ValueError("need 1 <= csma_cw_min <= csma_cw_max")
+
+    def grid_sink_ids(self) -> list[int] | None:
+        """The grid's sink ids, or None for its corners plus center."""
+        if self.grid_sinks == "corners+center":
+            return None
+        return [int(x) for x in self.grid_sinks.replace(",", " ").split()]
 
 
 # section -> {key: field name}; keys match field names except where the

@@ -49,7 +49,7 @@ from .config import ScenarioConfig
 from .core import DataPacket, opposite_sector
 from .mac import (MacNode, backoff_slots, greedy_next_hop, select_initiator,
                   select_sector, select_session_eta)
-from .reliability import mhc_map
+from .reliability import access_prob, mhc_map
 from .routing import INF, EstimationModel, RoutingState
 from .rng import child_seed, substream
 from .topology import (ConnectivityGraph, assign_blockage, assign_error_probs,
@@ -129,11 +129,8 @@ def build_topology(cfg: ScenarioConfig) -> ConnectivityGraph:
     if cfg.topology == "file":
         return ConnectivityGraph.load(cfg.graph_file)  # replayed as stored
     if cfg.topology == "grid":
-        sinks = None
-        if cfg.grid_sinks != "corners+center":
-            sinks = [int(x) for x in cfg.grid_sinks.replace(",", " ").split()]
         graph = build_grid(cfg.rows, cfg.cols, cfg.area_side_m, cfg.range_m,
-                           sinks=sinks, n_sectors=cfg.n_sectors,
+                           sinks=cfg.grid_sink_ids(), n_sectors=cfg.n_sectors,
                            capacity_bps=cfg.link_rate_bps)
     else:
         graph = build_random(cfg.n_nodes, cfg.area_side_m, cfg.range_m,
@@ -146,61 +143,121 @@ def build_topology(cfg: ScenarioConfig) -> ConnectivityGraph:
     return graph
 
 
-def flood_routing_tables(graph: ConnectivityGraph, states: dict,
-                         rounds_cap: int = 0) -> int:
-    """Synchronous advertisement rounds until no table moves; returns rounds.
+def flood_routing_tables(graph: ConnectivityGraph, states: dict) -> int:
+    """Install the tables synchronous advert rounds converge to; returns
+    the number of rounds.
 
-    Each round every node folds in its neighbors' previous-round
-    snapshots, which converges level by level outward from the sinks.
-    A node observes all of a round's adverts first and then recomputes
-    once: the adverts are fixed for the round, so the table it ends the
-    round with is the one a recompute after every advert would reach.
+    The rounds are derived sink by sink, not run.  In the flood they
+    stand for, round r has every node fold its neighbors' adverts from
+    the end of round r - 1 and recompute, until a round moves no record.
+    Each round is a pure function of the one before (DSDV's synchronous
+    updates), and toward a sink k it has a closed form:
 
-    The rounds run from a worklist, DSDV's triggered updates: round r
-    delivers only the adverts that changed in round r - 1 (all of them
-    in the first round), each node hearing its senders in ascending id.
-    This is exact.  A node's advert object changes only when its table
-    or sector counts move, and every listener holds the last advert
-    object each sender served, so each skipped delivery is one that
-    `observe` would turn away by identity, changing nothing.  Tables,
-    recomputes and the round count are those of delivering every advert
-    over every link in every round.
+    - node i's hop count is its forward-progress depth d_i (`mhc_map`)
+      from round d_i on, and INF before;
+    - so from round d_i on, the neighbors i admits are fixed: those
+      with d_j < d_i, per sector in ascending id;
+    - its RRS in round r is the best sector's 1 - prod(1 - p_ij *
+      gamma_j) over the gammas of round r - 1 (buffers are empty, so
+      undiscounted), in the float expression and order of
+      `RoutingState.recompute`;
+    - p_ij = link_static[j] * access_prob(cw, m), with m the contenders
+      j's advert counts in the sector i lies in.  Round 1 folds the
+      initial adverts, which count no neighbor yet, so m = 1 there, and
+      depth-1 nodes move again in round 2 with the true count.
+
+    So a node can move only in round d_i, in round 2 at depth 1, or in
+    a round after one that moved a neighbor it admits, and only those
+    evaluations are made.  The flood runs one round past the last that
+    moves a record; it stops after round 1 if that moves none.
+
+    The end state goes in through the states' own methods: each node
+    folds every neighbor's final advert once, in ascending id, and
+    recomputes once, and then serves the advert its neighbors hold.
+    When the flood stops after round 1 (no sink has a neighbor), the
+    adverts the nodes hold are the initial ones.
     """
-    if rounds_cap <= 0:
-        rounds_cap = graph.n_nodes + 8
-    # sender -> the nodes that hear it, ascending
-    listeners: dict[int, list[int]] = {j: [] for j in states}
-    for i in sorted(states):
+    n = graph.n_nodes
+    sector_lists = graph.neighbor_index
+    # a node's sector counts once it has heard every neighbor
+    counts = [tuple(map(len, sector_lists[j])) for j in range(n)]
+    p_link = {}
+    for (i, j), lk in graph.links.items():
+        st = states[i]
+        p_link[(i, j)] = st.link_static[j] * access_prob(
+            st.cw, max(1, counts[j][lk.sector_at_rx]))
+    tables = [{} for _ in range(n)]
+    last = 0      # the last round that moved a record
+    for k in graph.sinks:
+        depth = mhc_map(graph, k)
+        levels: dict[int, list[int]] = {}
+        terms = {}      # node -> per sector [(j, p_ij)] over admitted j
+        for i in range(n):
+            d = depth[i]
+            if d == INF or d == 0:
+                continue
+            levels.setdefault(d, []).append(i)
+            secs = []
+            for sec in sector_lists[i]:
+                adm = [(j, p_link[(i, j)]) for j in sec if depth[j] < d]
+                if adm:
+                    secs.append(adm)
+            terms[i] = secs
+        gamma = [0.0] * n
+        gamma[k] = 1.0
+        moved = []
+        r = 0
+        while True:
+            r += 1
+            todo = set(levels.get(r, ()))
+            if r == 2:
+                todo.update(levels.get(1, ()))
+            for j in moved:
+                dj = depth[j]
+                for i in graph.out_neighbors(j):
+                    if dj < depth[i] < r:
+                        todo.add(i)
+            if not todo:
+                break
+            new = []
+            for i in todo:
+                if r == 1:   # only the sink is admitted, at m = 1
+                    st = states[i]
+                    secs = [[(k, st.link_static[k] * access_prob(st.cw, 1))]]
+                else:
+                    secs = terms[i]
+                best = 0.0
+                for sec in secs:
+                    miss = 1.0
+                    for j, p in sec:
+                        miss *= 1.0 - p * gamma[j]
+                    val = 1.0 - miss
+                    if val > best:
+                        best = val
+                if best != gamma[i] or depth[i] == r:
+                    new.append((i, best))
+            for i, val in new:
+                gamma[i] = val
+            moved = [i for i, _ in new]
+            if moved and r > last:
+                last = r
+        for i in range(n):
+            tables[i][k] = (gamma[i], depth[i])
+
+    if last:
+        adverts = [{"node": j, "table": tables[j], "sector_counts": counts[j]}
+                   for j in range(n)]
+    else:   # the flood's only round folded the initial adverts
+        adverts = [states[j].advertisement() for j in range(n)]
+    for i in range(n):
+        st = states[i]
         for j in graph.out_neighbors(i):
-            listeners[j].append(i)
-    senders = sorted(states)
-    served = {j: states[j].advertisement() for j in senders}
-    rounds = 0
-    for _ in range(rounds_cap):
-        inbox: dict[int, list[int]] = {}
-        for j in senders:
-            for i in listeners[j]:
-                inbox.setdefault(i, []).append(j)
-        changed_any = False
-        for i in sorted(inbox):
-            st = states[i]
-            moved = False
-            for j in inbox[i]:
-                if st.observe(served[j]):
-                    moved = True
-            if moved and st.recompute({})[0]:
-                changed_any = True
-        rounds += 1
-        if not changed_any:
-            break
-        # only a node that heard something can serve a new advert
-        senders = []
-        for j in sorted(inbox):
-            adv = states[j].advertisement()
-            if adv is not served[j]:
-                served[j] = adv
-                senders.append(j)
-    return rounds
+            st.observe(adverts[j])
+        st.recompute({})
+    if last:
+        for j in range(n):
+            states[j].serve(adverts[j])
+    return last + 1
 
 
 class TraceRecorder:

@@ -105,9 +105,14 @@ def delivery_prob_oracle(graph: ConnectivityGraph, src: int, sink: int,
 
 
 def mhc_map(graph: ConnectivityGraph, sink: int) -> dict[int, float]:
-    """Minimum hop count to the sink over forward-progress links only."""
-    sink_pos = graph.positions[sink]
-    d_to = [distance(p, sink_pos) for p in graph.positions]
+    """Minimum hop count to the sink over forward-progress links only.
+
+    `sink` must be one of the graph's sinks, whose node distances the
+    graph already holds.
+    """
+    if sink not in graph.sink_set:
+        raise ValueError(f"node {sink} is not a sink of the graph")
+    d_to = [near[sink] for near in graph.sink_dist]
     h = {i: INF for i in range(graph.n_nodes)}
     h[sink] = 0
     frontier = [sink]

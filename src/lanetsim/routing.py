@@ -28,6 +28,11 @@ that advert's table (`prev_table`).  A receiver whose stored
 observation is exactly that table marks only the delta's sinks stale;
 any other receiver (one that missed an advert, or one handed an advert
 built by hand without these keys) falls back to diffing the tables.
+
+The warm-up before traffic does not run advert rounds: the engine
+derives the converged tables per sink, hands each node its neighbors'
+final adverts to fold, and has each node `serve` the advert its
+neighbors folded (see `engine.flood_routing_tables`).
 """
 from __future__ import annotations
 
@@ -336,6 +341,23 @@ class RoutingState:
         self._adv_moved.clear()
         self._adv_cache = self._adv_last = adv
         return adv
+
+    def serve(self, advert: dict) -> None:
+        """Serve `advert` from now on, as if this node had built it.
+
+        For a warm-up that derives every table before installing any:
+        the neighbors have folded `advert`, and serving that very object
+        keeps one copy of the table and lets their next `observe` of it
+        stop at the identity check.  It must equal the advert this node
+        would build now.
+        """
+        own = {"node": self.node_id, "table": self.snapshot(),
+               "sector_counts": tuple(len(s) for s in self.obs_by_sector)}
+        if advert != own:
+            raise ValueError(f"advert differs from node {self.node_id}'s "
+                             "table or sector counts")
+        self._adv_moved.clear()
+        self._adv_cache = self._adv_last = advert
 
     def gamma_max(self, k: int) -> float:
         """Best RRS toward k among observed neighbors (0 if none)."""

@@ -87,6 +87,33 @@ def test_slot_too_short_fails_validation(capsys, monkeypatch):
         spec.validate()
 
 
+CRASHING_SETTINGS = [
+    ("link_rate_bps=0", "link_rate_bps must be >= 1"),
+    ("control_bytes=0", "control_bytes must be >= 1"),
+    ("data_bytes=0", "data_bytes must be >= 1"),
+    ("retry_limit=-1", "retry_limit must be >= 0"),
+    ("backoff_utility_scale=-5", "backoff_utility_scale must be >= 0"),
+    ("grid_sinks=0,0", "grid_sinks repeats a node id"),
+    ("grid_sinks=", "grid_sinks names no sink"),
+    ("grid_sinks=0;9", "grid_sinks must be 'corners+center' or node ids"),
+]
+
+
+@pytest.mark.parametrize("setting,message", CRASHING_SETTINGS,
+                         ids=[s for s, _ in CRASHING_SETTINGS])
+def test_setting_that_would_crash_a_run_exits_one(setting, message, capsys,
+                                                  monkeypatch):
+    def no_build(cfg):
+        raise AssertionError("topology built before validation")
+
+    monkeypatch.setattr(engine, "build_topology", no_build)
+    monkeypatch.setattr(cli, "build_topology", no_build)
+    assert main(["run", *FAST, "--set", setting]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_bad_protocol_value_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--protocol", "NOT-A-PROTOCOL"])

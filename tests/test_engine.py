@@ -163,11 +163,10 @@ def without_delta(adv):
             "sector_counts": adv["sector_counts"]}
 
 
-def flood_one_advert_at_a_time(graph, states, rounds_cap=0):
+def flood_one_advert_at_a_time(graph, states):
     """The flood over every link in every round, with a recompute after
     every single advert, each folded by diffing whole tables."""
-    if rounds_cap <= 0:
-        rounds_cap = graph.n_nodes + 8
+    rounds_cap = graph.n_nodes + 8
     rounds = 0
     for _ in range(rounds_cap):
         adverts = {i: without_delta(states[i].advertisement())
@@ -192,7 +191,29 @@ FLOOD_GRAPHS = [(name, g, 0.0) for name, g in FLEET] + [
     # campus density: 400 random nodes and 20 sinks on a 50 m side
     ("campus-noisy", build_topology(ScenarioConfig(
         topology="random", n_nodes=400, n_sinks=20, area_side_m=50.0,
-        seed=7)), 0.2)]
+        seed=7)), 0.2),
+    # no sink has a neighbor, so the flood stops after its first round
+    ("lonely-sinks", stamp(ConnectivityGraph(
+        [Position(0, 0), Position(1, 0), Position(2, 0), Position(10, 10),
+         Position(20, 0)], sinks=[3, 4], n_sectors=4, range_m=1.5,
+        area_side_m=25.0)), 0.0)]
+
+
+def routing_state(st):
+    """Everything a routing state holds that a run reads, as values."""
+    out = {
+        "obs": [(j, ob.reverse_sector, ob.table, ob.sector_counts, ob.p_link)
+                for j, ob in st.obs.items()],
+        "obs_by_sector": [[j for j, _ in sec] for sec in st.obs_by_sector],
+        "fwd": {k: [j for j, _ in fwd] for k, fwd in st._fwd.items()},
+        "entries": {k: (e.gamma, e.mhc, e.last_beta, e.best)
+                    for k, e in st.entries.items()},
+        "pending": (st._dirty, st._discounted, st._adv_moved,
+                    st._gmax_cache),
+    }
+    adv = st.advertisement()
+    out["advert"] = (adv["table"], adv["sector_counts"])
+    return out
 
 
 @pytest.mark.parametrize("graph,eps", [pytest.param(g, eps, id=name)
@@ -203,7 +224,18 @@ def test_batched_flood_matches_per_advert_flood(graph, eps):
     rounds = flood_routing_tables(graph, batched)
     assert rounds == flood_one_advert_at_a_time(graph, one_by_one)
     for i in range(graph.n_nodes):
-        assert batched[i].snapshot() == one_by_one[i].snapshot(), i
+        st = batched[i]
+        assert not (st._dirty or st._discounted or st._adv_moved
+                    or st._gmax_cache), i
+        assert routing_state(st) == routing_state(one_by_one[i]), i
+    for i in range(graph.n_nodes):
+        # listeners hold the objects their senders serve
+        for j, ob in batched[i].obs.items():
+            adv = batched[j].advertisement()
+            assert ob.table is adv["table"], (i, j)
+            if rounds > 1:
+                assert ob.sector_counts is adv["sector_counts"], (i, j)
+        assert batched[i].recompute({}) == (False, False), i
 
 
 def test_warmup_tables_match_oracle_exactly():

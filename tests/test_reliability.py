@@ -128,8 +128,11 @@ def test_mhc_map_chain_and_unreachable():
     h = mhc_map(g, 3)
     assert h == {0: 3, 1: 2, 2: 1, 3: 0}
     # sink at the near end: every other node reaches it backward
-    h0 = mhc_map(g, 0)
+    near = ConnectivityGraph(g.positions, [0], 4, g.range_m, g.area_side_m)
+    h0 = mhc_map(near, 0)
     assert h0[0] == 0 and h0[3] == 3
+    with pytest.raises(ValueError, match="not a sink"):
+        mhc_map(g, 0)
     lone = ConnectivityGraph([Position(0, 0), Position(10, 0)], [1], 4,
                              range_m=1.0, area_side_m=11.0)
     assert mhc_map(lone, 1)[0] == INF
