@@ -63,6 +63,16 @@ class ScenarioConfig:
             raise ValueError(f"unknown topology kind {self.topology!r}")
         if self.topology == "file" and not self.graph_file:
             raise ValueError("topology=file needs graph_file")
+        if self.topology == "random":
+            if self.n_sinks < 1:
+                raise ValueError("n_sinks must be >= 1")
+            if self.n_sinks >= self.n_nodes:
+                raise ValueError("n_sinks must leave a non-sink node "
+                                 "(n_sinks < n_nodes)")
+        if not self.area_side_m > 0.0:
+            raise ValueError("area_side_m must be > 0")
+        if not self.duration_cap_s > 0.0:
+            raise ValueError("duration_cap_s must be > 0")
         if self.n_sectors < 2 or self.n_sectors % 2:
             raise ValueError("n_sectors must be even and >= 2")
         if self.cms_per_slot < 4:

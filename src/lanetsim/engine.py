@@ -463,8 +463,8 @@ class Simulation:
         self._greedy_memo: dict[tuple[int, int], int | None] = {}
         # (nid, sink) -> (routing obs_version, _sector_terms value)
         self._terms_cache: dict[tuple[int, int], tuple] = {}
-        if cfg.protocol != "GR-CSMA":   # GR-CSMA reads neither table
-            self._build_progress_tables()
+        if cfg.protocol != "GR-CSMA":   # GR-CSMA routes without it
+            self.prog = self.graph.progress
 
         self.warmup_us = 0
         if cfg.protocol == "VL-ROUTE":
@@ -483,35 +483,6 @@ class Simulation:
         self.events = 0
 
     # -- setup -------------------------------------------------------
-
-    def _build_progress_tables(self):
-        """Static per-link forward progress toward every sink."""
-        g = self.graph
-        self.prog: dict[tuple[int, int], dict[int, float]] = {}
-        for (i, j), lk in g.links.items():
-            d_ij = g.link_dist[(i, j)]
-            per_sink = {}
-            for k in g.sinks:
-                d_i = g.sink_dist[i][k]
-                d_j = g.sink_dist[j][k]
-                if d_j < d_i:
-                    per_sink[k] = (d_i - d_j) / d_ij
-            if per_sink:
-                self.prog[(i, j)] = per_sink
-        # candidate lists per (node, sink, sector): [(neighbor, progress)],
-        # neighbors ascending; only sinks some neighbor progresses toward
-        self.cand: list[dict[int, list[list[tuple[int, float]]]]] = [
-            {} for _ in range(g.n_nodes)]
-        links = g.links
-        for (i, j) in sorted(self.prog):
-            s = links[(i, j)].sector_at_tx
-            per_sink_lists = self.cand[i]
-            for k, p in self.prog[(i, j)].items():
-                sectors = per_sink_lists.get(k)
-                if sectors is None:
-                    sectors = per_sink_lists[k] = [
-                        [] for _ in range(g.n_sectors)]
-                sectors[s].append((j, p))
 
     def _init_routing(self):
         cfg = self.cfg
@@ -690,27 +661,29 @@ class Simulation:
         if cached is not None and cached[0] == ver:
             return cached[1]
         terms = []
-        sectors = self.cand[node.nid].get(k)
-        if sectors is not None:
-            gmax = state.gamma_max(k) if state else 1.0
-            if gmax > 0.0:
-                obs = state.obs if state else None
-                for s, lst in enumerate(sectors):
-                    if not lst:
+        gmax = state.gamma_max(k) if state else 1.0
+        if gmax > 0.0:
+            i = node.nid
+            prog = self.prog
+            obs = state.obs if state else None
+            for s, sec in enumerate(self.graph.neighbor_index[i]):
+                acc = 0.0
+                for j in sec:   # ascending id: the sum's float order
+                    p = prog[(i, j)].get(k)
+                    if p is None:
                         continue
-                    acc = 0.0
                     if obs is None:
-                        for _, prog in lst:
-                            acc += prog
-                    else:
-                        for j, prog in lst:
-                            ob = obs.get(j)
-                            if ob is None:
-                                continue
-                            rec = ob.table.get(k)
-                            if rec is None or rec[0] <= 0.0:
-                                continue
-                            acc += prog * (rec[0] / gmax)
+                        acc += p
+                        continue
+                    ob = obs.get(j)
+                    if ob is None:
+                        continue
+                    rec = ob.table.get(k)
+                    if rec is None or rec[0] <= 0.0:
+                        continue
+                    acc += p * (rec[0] / gmax)
+                # a zero term adds nothing to any sector's utility
+                if acc:
                     terms.append((s, acc))
         self._terms_cache[(node.nid, k)] = (ver, terms)
         return terms
@@ -768,8 +741,8 @@ class Simulation:
         sess_sink = self.sess_sink
         prog = self.prog
         result = None
-        prog_fwd = prog.get((i, rxn.nid))
-        if prog_fwd is not None:
+        prog_fwd = prog[(i, rxn.nid)]
+        if prog_fwd:
             fwd_options = []
             for sid in ini.queued_sids():
                 k = sess_sink[sid]
@@ -790,7 +763,7 @@ class Simulation:
             if q_i is not None:
                 q_j, eta_rev = None, 0.0
                 if ini.free_space() >= 1:
-                    prog_rev = prog.get((rxn.nid, i))
+                    prog_rev = prog[(rxn.nid, i)]
                     if prog_rev:
                         rev_options = []
                         for sid in rxn.queued_sids():
@@ -1374,25 +1347,21 @@ class Simulation:
     def _finalize(self, traffic_start: int, end: int, wall0) -> RunMetrics:
         cfg = self.cfg
         graph = self.graph
-        # classify leftovers by true reachability from the current holder
-        reach = {k: mhc_map(graph, k) for k in graph.sinks}
+        # classify leftovers by true reachability from the current holder:
+        # (holder, session, packets) for every queue and unsent remainder
+        left = [(node.nid, sid, node.backlog(sid)) for node in self.nodes
+                for sid in node.queued_sids()]
+        left += [(s["source"], s["sid"], self.unsent[s["sid"]])
+                 for s in self.sessions if self.unsent[s["sid"]]]
+        sess_sink = self.sess_sink
+        reach = {k: mhc_map(graph, k)
+                 for k in sorted({sess_sink[sid] for _, sid, _ in left})}
         in_flight = 0
-        for node in self.nodes:
-            for sid in node.queued_sids():
-                k = self.sess_sink[sid]
-                n = node.backlog(sid)
-                if reach[k][node.nid] == INF:
-                    self.drops["no-route"] += n
-                else:
-                    in_flight += n
-        for s in self.sessions:
-            left = self.unsent[s["sid"]]
-            if not left:
-                continue
-            if reach[s["sink"]][s["source"]] == INF:
-                self.drops["no-route"] += left
+        for nid, sid, n in left:
+            if reach[sess_sink[sid]][nid] == INF:
+                self.drops["no-route"] += n
             else:
-                in_flight += left
+                in_flight += n
         generated = sum(s["packets"] for s in self.sessions)
         delivered = sum(self.delivered_per_session.values())
         conservation_ok = (generated ==

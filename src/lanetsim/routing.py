@@ -6,9 +6,11 @@ sink) and minimum hop count (MHC), both learned purely from overheard
 neighbor advertisements.  Sinks advertise themselves with RRS 1 and MHC
 0, so first-hop seeding falls out of the general update rule.  A node
 reads its neighborhood from the deployment map it is built on: each
-neighbor's sector and reverse sector from the graph's links, and which
-neighbors make forward progress toward each sink from the graph's
-node-sink distances.  Adverts carry only the table and sector counts.
+neighbor's sector and reverse sector from the graph's links, and the
+sinks the neighbor makes forward progress toward from the graph's own
+per-link mapping (`ConnectivityGraph.progress`), held, not copied.  The
+hop count is a min over the neighbors marked forward, so it needs no
+ordered per-sink list.  Adverts carry only the table and sector counts.
 
 The recomputation deliberately mirrors the fixed-point oracle in
 reliability.py down to iteration order (neighbors in ascending id within
@@ -93,6 +95,7 @@ class NeighborObservation:
     """What a node has heard from one neighbor."""
     neighbor: int
     reverse_sector: int  # sector of the owner as seen from the neighbor
+    forward: dict        # the graph's own progress mapping for the link
     table: dict = field(default_factory=dict)   # sink -> (gamma, mhc)
     sector_counts: tuple = ()
     p_link: float = 0.0  # owner's estimated hop success prob to this neighbor
@@ -116,7 +119,7 @@ class RoutingState:
             raise ValueError("b_max must be >= 1")
         self.b_max = b_max
         self._links = graph.links
-        self._sink_dist = graph.sink_dist
+        self._progress = graph.progress
         perturb = estimation.perturb
         self.link_static: dict[int, float] = {}
         for j in graph.out_neighbors(node_id):
@@ -130,7 +133,6 @@ class RoutingState:
         self.obs: dict[int, NeighborObservation] = {}
         # ascending-id views kept in lockstep with obs for cheap iteration
         self.obs_by_sector: list[list] = [[] for _ in range(graph.n_sectors)]
-        self._fwd: dict[int, list] = {}   # sink -> [(id, obs)] forward only
         self.entries: dict[int, SinkEntry] = {
             k: SinkEntry(1.0, 0) if k == node_id else SinkEntry()
             for k in self.sinks}
@@ -163,11 +165,11 @@ class RoutingState:
         counts = advert["sector_counts"]
         ob = self.obs.get(j)
         if ob is None:
-            lk = self._links[(self.node_id, j)]
-            ob = NeighborObservation(j, lk.sector_at_rx)
+            link = (self.node_id, j)
+            lk = self._links[link]
+            ob = NeighborObservation(j, lk.sector_at_rx, self._progress[link])
             self.obs[j] = ob
             insort(self.obs_by_sector[lk.sector_at_tx], (j, ob), key=_ID)
-            self._index_forward(ob)
             moved = tbl
             recount = True
             self._adv_cache = None   # our own sector counts grew
@@ -205,15 +207,6 @@ class RoutingState:
         self.version += 1
         self.obs_version += 1
         return True
-
-    def _index_forward(self, ob: NeighborObservation) -> None:
-        """Slot one observation into the per-sink forward-progress lists."""
-        near = self._sink_dist[ob.neighbor]
-        # strictly closer; a sink's own entry (distance 0) never passes
-        for k, d in self._sink_dist[self.node_id].items():
-            if near[k] < d:
-                insort(self._fwd.setdefault(k, []), (ob.neighbor, ob),
-                       key=_ID)
 
     # -- recomputation -----------------------------------------------
 
@@ -257,10 +250,11 @@ class RoutingState:
                 entry.last_beta = beta
             else:
                 h_new = INF
-                for j, ob in self._fwd.get(k, ()):
-                    rec = ob.table.get(k)
-                    if rec is not None and rec[1] < h_new:
-                        h_new = rec[1]
+                for ob in self.obs.values():
+                    if k in ob.forward:
+                        rec = ob.table.get(k)
+                        if rec is not None and rec[1] < h_new:
+                            h_new = rec[1]
                 if h_new != INF:
                     h_new += 1
                 if h_new == INF:

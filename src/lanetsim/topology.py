@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from functools import cached_property
 
 from .core import DirectedLink, Position, distance, sector_of
 
@@ -91,6 +92,20 @@ class ConnectivityGraph:
             {k: distance(self.positions[i], self.positions[k])
              for k in self.sinks}
             for i in range(n)]
+
+    @cached_property
+    def progress(self) -> dict[tuple[int, int], dict[int, float]]:
+        """Forward progress per link: (i, j) -> {k: (d_ik - d_jk) / d_ij}.
+
+        Over the sinks k that j is strictly closer to than i, so a tie is
+        no progress and a sink never progresses toward itself.  Built on
+        first use: GR-CSMA, which routes without it, never pays for it.
+        """
+        sink_dist = self.sink_dist
+        return {(i, j): {k: (d - sink_dist[j][k]) / d_ij
+                         for k, d in sink_dist[i].items()
+                         if sink_dist[j][k] < d}
+                for (i, j), d_ij in self.link_dist.items()}
 
     # -- queries -----------------------------------------------------
 

@@ -96,6 +96,12 @@ CRASHING_SETTINGS = [
     ("grid_sinks=0,0", "grid_sinks repeats a node id"),
     ("grid_sinks=", "grid_sinks names no sink"),
     ("grid_sinks=0;9", "grid_sinks must be 'corners+center' or node ids"),
+    ("topology=random n_sinks=0", "n_sinks must be >= 1"),
+    ("topology=random n_nodes=5 n_sinks=5", "n_sinks must leave a non-sink"),
+    ("topology=random n_nodes=5 n_sinks=9", "n_sinks must leave a non-sink"),
+    ("duration_cap_s=0", "duration_cap_s must be > 0"),
+    ("duration_cap_s=-1", "duration_cap_s must be > 0"),
+    ("area_side_m=0", "area_side_m must be > 0"),
 ]
 
 
@@ -108,7 +114,9 @@ def test_setting_that_would_crash_a_run_exits_one(setting, message, capsys,
 
     monkeypatch.setattr(engine, "build_topology", no_build)
     monkeypatch.setattr(cli, "build_topology", no_build)
-    assert main(["run", *FAST, "--set", setting]) == 1
+    # a case may set several fields, separated by spaces
+    sets = [arg for field in setting.split() for arg in ("--set", field)]
+    assert main(["run", *FAST, *sets]) == 1
     err = capsys.readouterr().err
     assert f"error: {message}" in err
     assert "Traceback" not in err

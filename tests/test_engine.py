@@ -2,10 +2,12 @@
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+from lanetsim import engine
 from lanetsim.config import ScenarioConfig
 from lanetsim.core import Position
 from lanetsim.engine import (Reservation, Simulation, SlotClock,
@@ -13,7 +15,8 @@ from lanetsim.engine import (Reservation, Simulation, SlotClock,
                              flood_routing_tables, generate_sessions,
                              reservations_conflict, run,
                              sample_link_outcome)
-from lanetsim.reliability import protocol_link_probs, rrs_fixed_point_oracle
+from lanetsim.reliability import (mhc_map, protocol_link_probs,
+                                  rrs_fixed_point_oracle)
 from lanetsim.rng import substream
 from lanetsim.topology import ConnectivityGraph
 
@@ -138,20 +141,47 @@ def test_two_nodes_deliver_everything(protocol):
     assert 0.0 < res.normalized_throughput <= 1.0
 
 
-def test_full_duplex_emerges_with_reverse_traffic():
-    # sinks at both ends of a chain give the middle link opposed transit
-    # traffic; this seed's session mix covers both directions
-    cfg = ScenarioConfig(protocol="VL-ROUTE", sessions=4,
-                         packets_per_session=40, duration_cap_s=2.0,
-                         estimation_error=0.0, seed=3)
-    g = stamp(ConnectivityGraph(
+def duplex_chain():
+    """Sinks at both ends of a clean 4-node chain."""
+    return stamp(ConnectivityGraph(
         [Position(0, 0), Position(1, 0), Position(2, 0), Position(3, 0)],
         sinks=[0, 3], n_sectors=4, range_m=1.5, area_side_m=4.0),
         p_e=0.0, p_b=0.0)
-    res = run(cfg, graph=g)
+
+
+def duplex_cfg(**kw):
+    # this seed's session mix covers both directions of the chain
+    base = dict(protocol="VL-ROUTE", sessions=4, packets_per_session=40,
+                duration_cap_s=2.0, estimation_error=0.0, seed=3)
+    base.update(kw)
+    return ScenarioConfig(**base)
+
+
+def test_full_duplex_emerges_with_reverse_traffic():
+    # the sinks at both ends give the middle link opposed transit traffic
+    res = run(duplex_cfg(), graph=duplex_chain())
     assert res.delivered_total == 160
     assert res.duplex_exchanges > 0
     assert res.duplex_ratio > 0.0
+
+
+@pytest.mark.parametrize("cap_s,sinks", [(2.0, []), (0.001, [0, 3])])
+def test_leftovers_are_classified_only_toward_their_sinks(cap_s, sinks,
+                                                          monkeypatch):
+    calls = []
+
+    def counting_mhc_map(graph, k):
+        calls.append(k)
+        return mhc_map(graph, k)
+
+    # the warm-up calls mhc_map at construction, so count only the run
+    sim = Simulation(duplex_cfg(duration_cap_s=cap_s), graph=duplex_chain())
+    monkeypatch.setattr(engine, "mhc_map", counting_mhc_map)
+    res = sim.run()
+    assert res.conservation_ok
+    # a drained run holds and owes nothing, so it classifies nothing
+    assert (res.in_flight == 0) == (not sinks)
+    assert sorted(calls) == sinks
 
 
 # -- warm-up against the fixed-point oracle -----------------------------
@@ -205,7 +235,9 @@ def routing_state(st):
         "obs": [(j, ob.reverse_sector, ob.table, ob.sector_counts, ob.p_link)
                 for j, ob in st.obs.items()],
         "obs_by_sector": [[j for j, _ in sec] for sec in st.obs_by_sector],
-        "fwd": {k: [j for j, _ in fwd] for k, fwd in st._fwd.items()},
+        # per sink, the observed neighbors the hop count ranges over
+        "fwd": {k: sorted(j for j, ob in st.obs.items() if k in ob.forward)
+                for k in st.sinks},
         "entries": {k: (e.gamma, e.mhc, e.last_beta, e.best)
                     for k, e in st.entries.items()},
         "pending": (st._dirty, st._discounted, st._adv_moved,
@@ -236,6 +268,22 @@ def test_batched_flood_matches_per_advert_flood(graph, eps):
             if rounds > 1:
                 assert ob.sector_counts is adv["sector_counts"], (i, j)
         assert batched[i].recompute({}) == (False, False), i
+
+
+def test_forward_progress_is_stored_once():
+    cfg = ScenarioConfig(protocol="VL-ROUTE", sessions=3,
+                         duration_cap_s=0.2)
+    sim = Simulation(cfg)
+    g = sim.graph
+    assert sim.prog is g.progress
+    for node in sim.nodes:
+        for j, ob in node.routing.obs.items():
+            assert ob.forward is g.progress[(node.nid, j)]
+    gr = Simulation(replace(cfg, protocol="GR-CSMA"))
+    gr.run()
+    # GR-CSMA routes geographically and never builds the index
+    assert "progress" not in vars(gr.graph)
+    assert not hasattr(gr, "prog")
 
 
 def test_warmup_tables_match_oracle_exactly():

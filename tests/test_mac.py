@@ -33,19 +33,23 @@ def fill(node, sid, n):
 
 
 def test_progress_table_is_normalized_and_forward_only():
-    # 0 at the origin; 1 straight toward sink 4, 5 obliquely toward it,
-    # 2 sideways and 3 backward
-    g = hand_graph([(0, 0), (2, 0), (0, 2), (-2, 0), (4, 0), (2, 1.5)],
-                   sinks=[4])
+    # 0 at the origin; 1 straight toward sink 4, 5 and 6 obliquely toward
+    # it, 2 sideways and 3 backward
+    g = hand_graph([(0, 0), (2, 0), (0, 2), (-2, 0), (4, 0), (2, 1.5),
+                    (2.2, 1.0)], sinks=[4])
     sim = Simulation(ScenarioConfig(protocol="VL-MAC-GEO", sessions=1),
                      graph=g)
+    assert sim.prog is g.progress
     # (d_ik - d_jk) / d_ij: (4 - 2) / 2 and (4 - 2.5) / 2.5
-    assert sim.prog[(0, 1)] == {4: 1.0}
-    assert sim.prog[(0, 5)] == {4: pytest.approx(0.6)}
-    assert (0, 2) not in sim.prog
-    assert (0, 3) not in sim.prog
-    assert sim.cand[0][4] == [[(1, 1.0), (5, sim.prog[(0, 5)][4])],
-                              [], [], []]
+    assert g.progress[(0, 1)] == {4: 1.0}
+    assert g.progress[(0, 5)] == {4: pytest.approx(0.6)}
+    assert g.progress[(0, 2)] == g.progress[(0, 3)] == {}
+    # the three forward neighbors share sector 0, whose term sums their
+    # progress in ascending id; the reverse order rounds differently
+    p1, p5, p6 = (g.progress[(0, j)][4] for j in (1, 5, 6))
+    assert g.neighbors_in_sector(0, 0) == [1, 5, 6]
+    assert (p6 + p5) + p1 != (p1 + p5) + p6
+    assert sim._sector_terms(sim.nodes[0], 4) == [(0, (p1 + p5) + p6)]
 
 
 def rrs_sim(p_e_last_hop):

@@ -13,6 +13,35 @@ from lanetsim.topology import (ConnectivityGraph, assign_blockage,
 from fleet import FLEET, chain, lattice
 
 
+def progress_from_positions(g):
+    """The forward-progress relation derived link by link from scratch."""
+    pos = g.positions
+    out = {}
+    for (i, j) in g.links:
+        fwd = {}
+        for k in g.sinks:
+            d_i = distance(pos[i], pos[k])
+            d_j = distance(pos[j], pos[k])
+            if d_j < d_i:
+                fwd[k] = (d_i - d_j) / distance(pos[i], pos[j])
+        out[(i, j)] = fwd
+    return out
+
+
+PROGRESS_GRAPHS = FLEET + [
+    ("desk-grid", build_grid(10, 10, area_side_m=25.0, range_m=4.0)),
+    ("campus", build_random(400, area_side_m=50.0, range_m=4.0, n_sinks=20,
+                            seed=7))]
+
+
+@pytest.mark.parametrize("g", [pytest.param(g, id=name)
+                               for name, g in PROGRESS_GRAPHS])
+def test_progress_index_matches_positions(g):
+    assert g.progress == progress_from_positions(g)
+    # built once per graph
+    assert g.progress is g.progress
+
+
 def test_grid_pitch_and_interior_degree():
     g = build_grid(10, 10, area_side_m=25.0, range_m=4.0)
     assert g.n_nodes == 100
