@@ -12,6 +12,8 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, fields, replace
 
+from .topology import default_grid_sinks
+
 PROTOCOLS = ("VL-ROUTE", "VL-MAC-GEO", "GR-CSMA")
 
 
@@ -73,6 +75,10 @@ class ScenarioConfig:
             raise ValueError("area_side_m must be > 0")
         if not self.duration_cap_s > 0.0:
             raise ValueError("duration_cap_s must be > 0")
+        if not self.stall_window_s > 0.0:
+            raise ValueError("stall_window_s must be > 0")
+        if not self.range_m > 0.0:
+            raise ValueError("range_m must be > 0")
         if self.n_sectors < 2 or self.n_sectors % 2:
             raise ValueError("n_sectors must be even and >= 2")
         if self.cms_per_slot < 4:
@@ -85,6 +91,8 @@ class ScenarioConfig:
         if self.cw + self.acn_window + 1 > self.cms_per_slot:
             raise ValueError("slot too short for cw + acn_window + RES")
         if self.topology == "grid":
+            if self.rows < 1 or self.cols < 1:
+                raise ValueError("grid needs at least one row and one column")
             try:
                 sinks = self.grid_sink_ids()
             except ValueError:
@@ -95,6 +103,16 @@ class ScenarioConfig:
             if sinks and len(set(sinks)) != len(sinks):
                 raise ValueError("grid_sinks repeats a node id: "
                                  f"{self.grid_sinks!r}")
+            n = self.rows * self.cols
+            if sinks is None:
+                sinks = default_grid_sinks(self.rows, self.cols)
+            for s in sinks:
+                if not 0 <= s < n:
+                    raise ValueError(f"grid_sinks names node {s}, outside "
+                                     f"the grid's 0..{n - 1}")
+            if len(sinks) >= n:
+                raise ValueError("grid needs a non-sink node to source "
+                                 "traffic")
         if self.sessions < 1 or self.packets_per_session < 1:
             raise ValueError("need at least one session and one packet")
         # a frame must take at least one microsecond on the air

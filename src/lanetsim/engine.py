@@ -11,18 +11,22 @@ reservations.
 
 Each protocol resolves a slot in phases.  Its resolver
 (`Simulation._resolve_slot_vl`, `_resolve_slot_gr`) gates the slot's
-intents and builds their requests, with the memo and busy-map lookups
-inlined: that loop runs once per intent, the hottest of a run.  Shared
-phases follow: `_broadcast` delivers the requests to idle listeners,
-one channel draw per link; `_enter_slot` registers every intent, a
-retry one super-slot later among them; `_open_reservation` opens every
-exchange.  VL-ROUTE and VL-MAC-GEO decode per CMS and answer
-(`_vl_accept`), then run the ACN / RES tail (`_vl_tail`, `_vl_hear`);
-GR-CSMA grants what each target decoded alone (`_gr_grant`) and backs
-off the rest (`_gr_fail`).  A request travels as (cms, nid) and carries
-no copy of its sender's state: an acceptor reads the sender's queues
-and routing tables, and a VL-ROUTE listener its advertisement, from the
-sender itself.
+intents and builds their requests with every lookup inlined: that loop
+runs once per intent, the hottest of a run.  A VL request replays its
+node's plan record (`MacNode.attempt`), which holds the plan and its
+backoff weights (`mac.backoff_weights`), so a retry under an unchanged
+plan recomputes nothing and draws what `backoff_slots` would.  Shared
+phases follow: `_broadcast` delivers the requests to idle listeners
+over each sender's audience in the beam (`_audience_of`, built once per
+run), one draw per link from the stream `_chan_ok` uses; `_enter_slot`
+registers every intent, a retry one super-slot later among them;
+`_open_reservation` opens every exchange.  VL-ROUTE and VL-MAC-GEO
+decode per CMS and answer (`_vl_accept`), then run the ACN / RES tail
+(`_vl_tail`, `_vl_hear`); GR-CSMA grants what each target decoded alone
+(`_gr_grant`) and backs off the rest (`_gr_fail`).  A request travels
+as (cms, nid) and carries no copy of its sender's state: an acceptor
+reads the sender's queues and routing tables, and a VL-ROUTE listener
+its served advertisement, from the sender itself.
 
 A reservation opens only after the commit gate has refused anything
 conflicting with an active one (carrier sensing of sustained emissions
@@ -47,8 +51,8 @@ from operator import itemgetter
 
 from .config import ScenarioConfig
 from .core import DataPacket, opposite_sector
-from .mac import (MacNode, backoff_slots, greedy_next_hop, select_initiator,
-                  select_sector, select_session_eta)
+from .mac import (MacNode, backoff_slots, backoff_weights, greedy_next_hop,
+                  select_initiator, select_sector, select_session_eta)
 from .reliability import access_prob, mhc_map
 from .routing import INF, EstimationModel, RoutingState
 from .rng import child_seed, substream
@@ -429,13 +433,12 @@ class Simulation:
         # node beaming into a reserved domain is a conflict even before
         # the acceptor has transmitted anything
         self._guard: dict[int, int] = {}
-        # nid -> (q_version, routing version, plan)
-        self._attempt_memo: dict[int, tuple] = {}
         self._chan_cache: dict[int, tuple] = {}
-        # (initiator, receiver) -> (initiator's q_version and routing
+        # initiator*n_nodes+receiver -> (initiator's q_version and routing
         # version, receiver's q_version and routing version, value)
-        self._pair_cache: dict[tuple[int, int], tuple] = {}
-        self._audience: dict[int, list[int]] = {}
+        self._pair_cache: dict[int, tuple] = {}
+        # emitter*n_sectors+beam -> its audience (`_audience_of`)
+        self._audience: dict[int, list[tuple]] = {}
         self._ns = cfg.n_sectors
         self._nn = self.graph.n_nodes
         # receiver*n_sectors+sector -> emitters whose beam in that sector
@@ -549,16 +552,35 @@ class Simulation:
             self._greedy_memo[key] = t
         return t
 
+    def _audience_of(self, x: int, xb: int) -> list[tuple]:
+        """[(y, node y, draw, p_b, p_e, busy key)] for each receiver y that
+        emitter x's beam xb reaches, in `neighbor_index` order.
+
+        Built on first use and kept for the run.  (draw, p_b, p_e) is
+        the link's `_chan_cache` entry, so a link keeps one stream; the
+        busy key is y * n_sectors + the sector y hears x in.
+        """
+        key = x * self._ns + xb
+        aud = self._audience.get(key)
+        if aud is None:
+            links = self.graph.links
+            chan_cache = self._chan_cache
+            nn = self._nn
+            ns = self._ns
+            aud = []
+            for y in self.graph.neighbor_index[x][xb]:
+                c = chan_cache.get(x * nn + y)
+                if c is None:
+                    c = self._chan_entry(x, y)
+                aud.append((y, self.nodes[y], *c,
+                            y * ns + links[(x, y)].sector_at_rx))
+            self._audience[key] = aud
+        return aud
+
     def _fold_busy(self, into: dict, x: int, xb: int, end: int):
         """Mark every receiver that can hear emitter (x, beam xb) busy."""
-        src = x * self._ns + xb
-        keys = self._audience.get(src)
-        if keys is None:
-            links = self.graph.links
-            keys = [y * self._ns + links[(x, y)].sector_at_rx
-                    for y in self.graph.neighbors_in_sector(x, xb)]
-            self._audience[src] = keys
-        for key in keys:
+        for entry in self._audience_of(x, xb):
+            key = entry[5]
             if end > into.get(key, 0):
                 into[key] = end
 
@@ -613,19 +635,24 @@ class Simulation:
     # -- attempt planning -------------------------------------------
 
     def _attempt(self, node: MacNode) -> tuple:
-        """(q_version, routing version, plan).
+        """(q_version, routing version, plan, backoff weights).
 
         The plan is pure in the node's queues and routing tables, so it
-        is memoized against their version counters.
+        is kept on the node (`MacNode.attempt`) against their version
+        counters, with the `backoff_weights` of its utility that every
+        request made under it replays.
         """
         state = node.routing
         qv = node.q_version
         rv = state.version if state else 0
-        memo = self._attempt_memo.get(node.nid)
-        if memo is None or memo[0] != qv or memo[1] != rv:
-            memo = (qv, rv, self._vl_choose_eval(node))
-            self._attempt_memo[node.nid] = memo
-        return memo
+        rec = node.attempt
+        if rec[0] != qv or rec[1] != rv:
+            plan = self._vl_choose_eval(node)
+            cfg = self.cfg
+            weights = None if plan is None else backoff_weights(
+                plan[1], cfg.cw, cfg.backoff_utility_scale)
+            rec = node.attempt = (qv, rv, plan, weights)
+        return rec
 
     def _vl_choose_eval(self, node: MacNode):
         """Best sector and its utility for the next access attempt."""
@@ -787,7 +814,7 @@ class Simulation:
                 u = eta_fwd * links[(i, rxn.nid)].capacity_bps \
                     + eta_rev * links[(rxn.nid, i)].capacity_bps
                 result = (q_i, q_j, u)
-        self._pair_cache[(i, rxn.nid)] = (
+        self._pair_cache[i * self._nn + rxn.nid] = (
             ini.q_version, ini_state.version if ini_state else 0, rq, rr,
             result)
         return result
@@ -799,12 +826,13 @@ class Simulation:
         pair_cache = self._pair_cache
         nodes = self.nodes
         rx = rxn.nid
+        nn = self._nn
         rq = rxn.q_version
         rr = rxn.routing.version if rxn.routing else 0
         for i in initiators:
             ini = nodes[i]
             iv = ini.routing.version if ini.routing else 0
-            memo = pair_cache.get((i, rx))
+            memo = pair_cache.get(i * nn + rx)
             if memo is not None and memo[0] == ini.q_version \
                     and memo[1] == iv and memo[2] == rq and memo[3] == rr:
                 r = memo[4]
@@ -814,6 +842,8 @@ class Simulation:
                 continue
             candidates.append((i, r[2]))
             details[i] = r
+        if not candidates:
+            return None
         chosen = select_initiator(candidates)
         if chosen is None:
             return None
@@ -831,22 +861,18 @@ class Simulation:
         """
         txs.sort()
         senders = set(map(itemgetter(1), txs))
-        nodes = self.nodes
-        nbrs = self.graph.neighbor_index
-        chan_cache = self._chan_cache
-        nn = self._nn
+        audience = self._audience
+        ns = self._ns
         arrivals: dict[int, list] = {}
         for tx in txs:
             nid = tx[1]
-            base = nid * nn
-            for rx in nbrs[nid][beam]:
-                if nodes[rx].engaged or rx in senders:
+            aud = audience.get(nid * ns + beam)
+            if aud is None:
+                aud = self._audience_of(nid, beam)
+            for rx, rxn, rnd, p_b, p_e, _ in aud:
+                if rxn.engaged or rx in senders:
                     continue
                 # _chan_ok inlined: same draws in the same order
-                c = chan_cache.get(base + rx)
-                if c is None:
-                    c = self._chan_entry(nid, rx)
-                rnd, p_b, p_e = c
                 if (p_b and rnd() < p_b) or (p_e and rnd() < p_e):
                     continue
                 lst = arrivals.get(rx)
@@ -868,7 +894,6 @@ class Simulation:
         cw = cfg.cw
         scale = cfg.backoff_utility_scale
         busy_map = self._busy
-        attempt_memo = self._attempt_memo
 
         # the requests: this loop runs once per intent, the hottest of a
         # run, so it keeps its lookups inline rather than calling them
@@ -883,14 +908,13 @@ class Simulation:
                 self._schedule_attempt(node)
                 continue
             if kind == "art":
-                # the memo check of _attempt, inlined
+                # the version check of _attempt, inlined
+                rec = node.attempt
                 state = node.routing
-                qv = node.q_version
-                rv = state.version if state else 0
-                memo = attempt_memo.get(nid)
-                if memo is None or memo[0] != qv or memo[1] != rv:
-                    memo = self._attempt(node)
-                plan = memo[2]
+                if rec[0] != node.q_version or \
+                        rec[1] != (state.version if state else 0):
+                    rec = self._attempt(node)
+                plan = rec[2]
                 if plan is None or plan[0] != beam:
                     self._schedule_attempt(node)
                     continue
@@ -900,7 +924,22 @@ class Simulation:
                     node.defer_until = busy
                     self._schedule_attempt(node)
                     continue
-                cms = backoff_slots(plan[1], cw, node.rng, scale)
+                # backoff_slots(plan[1], cw, node.rng, scale), replayed
+                # from the plan's weights: the same draws, the same slot
+                weights = rec[3]
+                if weights:
+                    a, b, terms = weights
+                    x = node.rng.random() * a / b
+                    cms = 0
+                    for term in terms:
+                        if x < term:
+                            break
+                        x -= term
+                        cms += 1
+                elif weights is None:
+                    cms = node.rng.randrange(cw)
+                else:   # a one-slot window: slot 0, no draw
+                    cms = 0
                 txs.append((cms, nid))
             else:  # beacon
                 if not node.beacon_sectors or node.beacon_sectors[0] != beam:
@@ -931,13 +970,16 @@ class Simulation:
         A listener decodes each CMS that carried one request; more than
         one is a collision there, counted once per request in it.  A
         VL-ROUTE listener folds the advert of every sender it decoded
-        into its tables.  A listener with room for a packet, whose own
-        reception would not be corrupted, then answers its best
-        decodable ART.
+        into its tables, skipping one it already holds.  A listener with
+        room for a packet, whose own reception would not be corrupted,
+        then answers its best decodable ART.
         """
         cfg = self.cfg
         nodes = self.nodes
         vl_route = cfg.protocol == "VL-ROUTE"
+        busy_map = self._busy
+        ns = self._ns
+        now = self.now
         heard = {}
         for rx, lst in arrivals.items():
             if len(lst) == 1:
@@ -959,9 +1001,19 @@ class Simulation:
             senders = heard[rx]
             if vl_route:
                 state = rxn.routing
+                obs = state.obs
                 moved = False
                 for i in senders:
-                    if state.observe(nodes[i].routing.advertisement()):
+                    sender = nodes[i].routing
+                    # observe's early return, inlined: the listener
+                    # already holds the advert the sender serves
+                    adv = sender.served
+                    if adv is not None:
+                        ob = obs.get(i)
+                        if ob is not None and ob.table is adv["table"] and \
+                                ob.sector_counts is adv["sector_counts"]:
+                            continue
+                    if state.observe(sender.advertisement()):
                         moved = True
                 if moved:
                     _, worthy = state.recompute(rxn.backlog_by_sink())
@@ -974,7 +1026,8 @@ class Simulation:
                     continue
             if rxn.total_q >= rxn.b_max:
                 continue  # no room for a packet
-            if self._dc_busy_until(rx, g):
+            # _dc_busy_until, inlined
+            if busy_map.get(rx * ns + g, 0) > now:
                 continue  # our data reception would be corrupted; stay out
             sel = self._evaluate_arts(rxn, senders)
             if sel is None:

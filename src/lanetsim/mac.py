@@ -5,7 +5,10 @@ MAC: the best sector, the best weighted differential backlog among
 candidate sessions (how an acceptor picks each direction of an
 exchange, the full-duplex reverse session included), the initiator an
 acceptor answers, the utility-tilted backoff draw, and GR-CSMA's
-greedy next hop.
+greedy next hop.  `backoff_slots` is the draw; `backoff_weights` is
+what the draw fixes for one utility, which the engine builds once per
+access plan and replays for every request made under it
+(`MacNode.attempt` holds the plan and its weights).
 
 The utilities those choices rank are computed in engine.py from tables
 built once per run.  An initiator scores a sector by summing, over its
@@ -107,6 +110,36 @@ def backoff_slots(utility: float, cw: int, rng,
     return slot
 
 
+def backoff_weights(utility: float, cw: int, utility_scale: float = 25.0):
+    """What `backoff_slots` fixes before its draw, for replaying it.
+
+    Returns () for a one-slot window (slot 0, no draw), None for a
+    uniform draw (`rng.randrange(cw)`), and otherwise (a, b, terms):
+    the draw is x = rng.random() * a / b, and the slot is the number of
+    leading `terms` that x can give up in turn, subtracting each.  a,
+    b and the terms 1, rho, rho^2, ... are the floats `backoff_slots`
+    forms, so the replay draws the same slot from the same state.
+    """
+    if cw < 1:
+        raise ValueError("cw must be >= 1")
+    if cw == 1:
+        return ()
+    if utility < 0.0:
+        raise ValueError("utility must be nonnegative")
+    if utility == 0.0:
+        return None
+    p = utility / (utility + utility_scale)
+    rho = 1.0 - 0.5 * p
+    if rho == 1.0:
+        return None
+    term = 1.0
+    terms = [term]
+    for _ in range(cw - 2):
+        term *= rho
+        terms.append(term)
+    return 1.0 - rho ** cw, 1.0 - rho, tuple(terms)
+
+
 def greedy_next_hop(self_pos: Position, sink_pos: Position, neighbors):
     """Neighbor geographically closest to the sink, if closer than self.
 
@@ -131,7 +164,7 @@ class MacNode:
     __slots__ = ("nid", "b_max", "engaged", "queues", "gr_order", "total_q",
                  "routing", "rng", "defer_until", "pending", "csma_cw",
                  "csma_residual", "beacon_sectors", "sess_sink", "q_version",
-                 "_sids_cache", "_bls_cache")
+                 "attempt", "_sids_cache", "_bls_cache")
 
     def __init__(self, nid: int, b_max: int, rng, sess_sink: dict):
         self.nid = nid
@@ -149,6 +182,9 @@ class MacNode:
         self.beacon_sectors: deque[int] = deque()
         self.sess_sink = sess_sink    # shared session -> sink map
         self.q_version = 0            # bumps on enqueue/dequeue
+        # the engine's access plan: (q_version, routing version, plan,
+        # backoff_weights of the plan's utility)
+        self.attempt = (-1, -1, None, None)
         self._sids_cache = (-1, [])
         self._bls_cache = (-1, {})
 

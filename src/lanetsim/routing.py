@@ -136,8 +136,9 @@ class RoutingState:
         self.entries: dict[int, SinkEntry] = {
             k: SinkEntry(1.0, 0) if k == node_id else SinkEntry()
             for k in self.sinks}
-        # the advert to serve (None once stale) and the last one built
-        self._adv_cache = None
+        # the advert to serve (None once stale; `advertisement` rebuilds
+        # it) and the last one built
+        self.served = None
         self._adv_last = None
         # sinks whose record moved since the last advert was built
         self._adv_moved: set[int] = set()
@@ -172,7 +173,7 @@ class RoutingState:
             insort(self.obs_by_sector[lk.sector_at_tx], (j, ob), key=_ID)
             moved = tbl
             recount = True
-            self._adv_cache = None   # our own sector counts grew
+            self.served = None   # our own sector counts grew
         else:
             old = ob.table
             if old is tbl:
@@ -288,7 +289,7 @@ class RoutingState:
         dirty.clear()
         if changed:
             self.version += 1
-            self._adv_cache = None
+            self.served = None
         return changed, worthy
 
     # -- outbound ----------------------------------------------------
@@ -301,7 +302,7 @@ class RoutingState:
         `prev_table` and, as `delta`, the sinks whose record differs
         from it; the table object is shared while no record differs.
         """
-        adv = self._adv_cache
+        adv = self.served
         if adv is not None:
             return adv
         entries = self.entries
@@ -333,7 +334,7 @@ class RoutingState:
                     "delta": delta,
                 }
         self._adv_moved.clear()
-        self._adv_cache = self._adv_last = adv
+        self.served = self._adv_last = adv
         return adv
 
     def serve(self, advert: dict) -> None:
@@ -351,7 +352,7 @@ class RoutingState:
             raise ValueError(f"advert differs from node {self.node_id}'s "
                              "table or sector counts")
         self._adv_moved.clear()
-        self._adv_cache = self._adv_last = advert
+        self.served = self._adv_last = advert
 
     def gamma_max(self, k: int) -> float:
         """Best RRS toward k among observed neighbors (0 if none)."""

@@ -102,6 +102,17 @@ CRASHING_SETTINGS = [
     ("duration_cap_s=0", "duration_cap_s must be > 0"),
     ("duration_cap_s=-1", "duration_cap_s must be > 0"),
     ("area_side_m=0", "area_side_m must be > 0"),
+    ("range_m=0", "range_m must be > 0"),
+    ("range_m=-1", "range_m must be > 0"),
+    ("stall_window_s=0", "stall_window_s must be > 0"),
+    ("stall_window_s=-1", "stall_window_s must be > 0"),
+    ("rows=0", "grid needs at least one row and one column"),
+    ("cols=-2", "grid needs at least one row and one column"),
+    ("grid_sinks=100", "grid_sinks names node 100, outside the grid's 0..99"),
+    ("grid_sinks=-1", "grid_sinks names node -1, outside the grid's 0..99"),
+    ("rows=1 cols=1", "grid needs a non-sink node"),
+    ("rows=2 cols=2", "grid needs a non-sink node"),
+    ("rows=1 cols=2 grid_sinks=1,0", "grid needs a non-sink node"),
 ]
 
 

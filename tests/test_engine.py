@@ -102,6 +102,25 @@ def test_engine_channel_check_replays_link_substream():
         assert sim._chan_ok(0, 1) == want
 
 
+@pytest.mark.parametrize("protocol", ["VL-ROUTE", "GR-CSMA"])
+def test_each_link_keeps_one_channel_stream(protocol):
+    """A request's draw and every later draw on a link share one stream."""
+    sim = Simulation(grid_cfg(protocol=protocol, sessions=5,
+                              duration_cap_s=0.3))
+    sim.run()
+    g = sim.graph
+    n = g.n_nodes
+    assert sim._audience
+    for key, aud in sim._audience.items():
+        i, beam = divmod(key, g.n_sectors)
+        assert [entry[0] for entry in aud] == g.neighbor_index[i][beam]
+        for j, node, draw, p_b, p_e, busy_key in aud:
+            assert node is sim.nodes[j]
+            assert (draw, p_b, p_e) == sim._chan_cache[i * n + j]
+            assert draw is sim._chan_cache[i * n + j][0]
+            assert busy_key == j * g.n_sectors + g.links[(i, j)].sector_at_rx
+
+
 # -- traffic ------------------------------------------------------------
 
 

@@ -3,17 +3,17 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lanetsim.config import ScenarioConfig
-from lanetsim.core import DataPacket, Position
+from lanetsim.core import DataPacket, Position, opposite_sector
 from lanetsim.engine import Simulation
 from lanetsim.mac import (MacNode, backoff_slots, greedy_next_hop,
                           select_initiator, select_sector,
                           select_session_eta)
 from lanetsim.topology import ConnectivityGraph
 
-from fleet import stamp
+from fleet import chain, stamp
 
 P = Position
 
@@ -161,6 +161,47 @@ def test_backoff_argument_checks():
        st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_backoff_always_in_window(utility, cw, seed):
     assert 0 <= backoff_slots(utility, cw, random.Random(seed)) < cw
+
+
+@settings(max_examples=300, deadline=None)
+@given(cw=st.integers(min_value=1, max_value=8),
+       utility=st.one_of(
+           st.just(0.0),
+           # small enough that the decay ratio rounds to 1.0
+           st.floats(min_value=1e-300, max_value=1e-16),
+           st.floats(min_value=1e-16, max_value=1e3),
+           st.floats(min_value=1e3, max_value=1e300)),
+       scale=st.one_of(st.just(0.0), st.just(25.0),
+                       st.floats(min_value=0.0, max_value=1e4)),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_request_replays_the_backoff_draw(cw, utility, scale, seed):
+    """Every request under one plan draws what backoff_slots draws.
+
+    The engine builds the plan's weights once and replays them at each
+    retry; slot and generator state must match the reference exactly.
+    """
+    cfg = ScenarioConfig(protocol="VL-MAC-GEO", cw=cw,
+                         cms_per_slot=max(8, cw + 3),
+                         backoff_utility_scale=scale, sessions=1,
+                         packets_per_session=1)
+    sim = Simulation(cfg, graph=chain(2))
+    beam = opposite_sector(sim.clock.listening_sector(0), cfg.n_sectors)
+    sim._vl_choose_eval = lambda node: (beam, utility)
+    sent = []
+
+    def broadcast(txs, beam):
+        sent.extend(txs)
+        return {}, set()
+
+    sim._broadcast = broadcast
+    node = sim.nodes[0]
+    node.rng = random.Random(seed)
+    ref = random.Random(seed)
+    for _ in range(3):
+        sent.clear()
+        sim._resolve_slot_vl(0, [("art", 0)])
+        assert sent == [(backoff_slots(utility, cw, ref, scale), 0)]
+        assert node.rng.getstate() == ref.getstate()
 
 
 def test_backoff_zero_utility_is_uniform():
