@@ -19,7 +19,6 @@ import os
 import statistics
 import sys
 from dataclasses import replace
-from multiprocessing import Pool
 
 from .config import (PROTOCOLS, ScenarioConfig, SweepSpec, _convert,
                      _FIELD_TYPES, load_scenario, load_sweep)
@@ -170,6 +169,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 0) -> list[dict]:
     if jobs <= 1:
         results = [_sweep_task(t) for t in tasks]
     else:
+        # imported here: a serial sweep never loads the pool machinery
+        from multiprocessing import Pool
         with Pool(jobs) as pool:
             results = pool.map(_sweep_task, tasks, chunksize=1)
     return aggregate_sweep(spec, results)

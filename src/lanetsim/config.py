@@ -10,6 +10,7 @@ so typos fail loudly.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .topology import default_grid_sinks
@@ -71,14 +72,10 @@ class ScenarioConfig:
             if self.n_sinks >= self.n_nodes:
                 raise ValueError("n_sinks must leave a non-sink node "
                                  "(n_sinks < n_nodes)")
-        if not self.area_side_m > 0.0:
-            raise ValueError("area_side_m must be > 0")
-        if not self.duration_cap_s > 0.0:
-            raise ValueError("duration_cap_s must be > 0")
-        if not self.stall_window_s > 0.0:
-            raise ValueError("stall_window_s must be > 0")
-        if not self.range_m > 0.0:
-            raise ValueError("range_m must be > 0")
+        for name in ("area_side_m", "duration_cap_s", "stall_window_s",
+                     "range_m"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite")
         if self.n_sectors < 2 or self.n_sectors % 2:
             raise ValueError("n_sectors must be even and >= 2")
         if self.cms_per_slot < 4:

@@ -51,7 +51,7 @@ def opposite_sector(sector: int, n_sectors: int) -> int:
     return (sector + n_sectors // 2) % n_sectors
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectedLink:
     """One direction of a feasible optical link."""
     tx: int

@@ -36,6 +36,15 @@ does not re-check its reservations.
 `count_occupancy_conflicts` is the independent post-hoc sweep over a
 run's `res_records`, kept for tests and other verifiers to call.
 
+A run allocates only what it reads.  A node's backoff stream and a
+link's channel stream are seeded at their first draw (`_backoff_rng`,
+`_chan_entry`), which draws what a stream seeded with the run would,
+since nothing drew from it before; a run that never draws on a node or
+link seeds no stream for it.  The VL handshake's tail map
+(`_coverers`) is built only for the VL protocols, and the end-of-run
+RRS snapshot takes each node's served table, which is current whenever
+it is set, rather than a copy.
+
 Event ordering is deterministic: (time, kind priority, sequence).  All
 randomness flows through named substreams of the master seed.
 """
@@ -43,6 +52,7 @@ from __future__ import annotations
 
 import heapq
 import time as _time
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from hashlib import sha256
@@ -409,6 +419,11 @@ class Simulation:
         cfg.validate()
         self.cfg = cfg
         self.graph = graph if graph is not None else build_topology(cfg)
+        if self.graph.n_sectors != cfg.n_sectors:
+            # a stored or given deployment brings its own sector count
+            raise ValueError(f"the deployment has {self.graph.n_sectors} "
+                             f"sectors, the config n_sectors="
+                             f"{cfg.n_sectors}")
         self.clock = SlotClock.from_config(cfg)
         self.data_us = ceil_div(cfg.data_bytes * 8 * 1_000_000,
                                 cfg.link_rate_bps)
@@ -441,12 +456,6 @@ class Simulation:
         self._audience: dict[int, list[tuple]] = {}
         self._ns = cfg.n_sectors
         self._nn = self.graph.n_nodes
-        # receiver*n_sectors+sector -> emitters whose beam in that sector
-        # reaches the receiver
-        cover: dict[int, set] = {}
-        for (x, y), lk in self.graph.links.items():
-            cover.setdefault(y * self._ns + lk.sector_at_tx, set()).add(x)
-        self._coverers = {key: frozenset(xs) for key, xs in cover.items()}
 
         g = self.graph
         self.sessions = generate_sessions(cfg, g, substream(cfg.seed, "sessions"))
@@ -457,8 +466,7 @@ class Simulation:
         self._next_seq = {s["sid"]: 0 for s in self.sessions}
         self.unsent = {s["sid"]: s["packets"] for s in self.sessions}
 
-        self.nodes = [MacNode(i, cfg.b_max, substream(cfg.seed, "backoff", i),
-                              self.sess_sink)
+        self.nodes = [MacNode(i, cfg.b_max, self.sess_sink)
                       for i in range(g.n_nodes)]
         for n in self.nodes:
             n.csma_cw = cfg.csma_cw_min
@@ -466,8 +474,15 @@ class Simulation:
         self._greedy_memo: dict[tuple[int, int], int | None] = {}
         # (nid, sink) -> (routing obs_version, _sector_terms value)
         self._terms_cache: dict[tuple[int, int], tuple] = {}
-        if cfg.protocol != "GR-CSMA":   # GR-CSMA routes without it
-            self.prog = self.graph.progress
+        if cfg.protocol != "GR-CSMA":   # GR-CSMA reads neither
+            self.prog = g.progress
+            # receiver*n_sectors+sector -> emitters whose beam in that
+            # sector reaches the receiver (the VL handshake's tail)
+            cover: dict[int, set] = {}
+            for (x, y), lk in g.links.items():
+                cover.setdefault(y * self._ns + lk.sector_at_tx, set()).add(x)
+            self._coverers = {key: frozenset(xs)
+                              for key, xs in cover.items()}
 
         self.warmup_us = 0
         if cfg.protocol == "VL-ROUTE":
@@ -505,11 +520,49 @@ class Simulation:
         self._seq += 1
         heapq.heappush(self._heap, (t, prio, self._seq, payload))
 
+    def _backoff_rng(self, node: MacNode):
+        """The node's backoff stream, seeded at its first draw site.
+
+        Nothing draws from the stream before, so it draws what a stream
+        seeded with the run would.  A one-slot window (`cw` or
+        `acn_window` 1) reaches a draw site without drawing.
+        """
+        node.rng = substream(self.cfg.seed, "backoff", node.nid)
+        return node.rng
+
     def _chan_entry(self, i: int, j: int) -> tuple:
-        """(draw, p_b, p_e) for link i -> j, cached under i*n_nodes+j."""
+        """(draw, p_b, p_e) for link i -> j, cached under i*n_nodes+j.
+
+        draw starts as a stub that, at the link's first draw, seeds the
+        link's "chan" substream and puts the stream's `random` in its
+        place, here and in the link's audience entry: a link that never
+        draws seeds no stream, and one that has drawn calls its stream
+        directly.  The stub keeps drawing from that stream for callers
+        that still hold it.  It holds the simulation weakly: a cycle
+        through the caches would keep a finished run's state alive
+        until the cyclic collector ran.
+        """
         lk = self.graph.links[(i, j)]
-        c = (substream(self.cfg.seed, "chan", i, j).random, lk.p_b, lk.p_e)
-        self._chan_cache[i * self._nn + j] = c
+        key = i * self._nn + j
+        sim = weakref.ref(self)
+        draw = None
+
+        def first_draw():
+            nonlocal draw
+            if draw is None:
+                owner = sim()
+                draw = substream(owner.cfg.seed, "chan", i, j).random
+                owner._chan_cache[key] = (draw, lk.p_b, lk.p_e)
+                aud = owner._audience.get(
+                    i * owner._ns + lk.sector_at_tx, ())
+                for n, entry in enumerate(aud):
+                    if entry[0] == j:
+                        aud[n] = (j, entry[1], draw, *entry[3:])
+                        break
+            return draw()
+
+        c = (first_draw, lk.p_b, lk.p_e)
+        self._chan_cache[key] = c
         return c
 
     def _chan_ok(self, i: int, j: int) -> bool:
@@ -929,7 +982,8 @@ class Simulation:
                 weights = rec[3]
                 if weights:
                     a, b, terms = weights
-                    x = node.rng.random() * a / b
+                    x = (node.rng or self._backoff_rng(node)).random() \
+                        * a / b
                     cms = 0
                     for term in terms:
                         if x < term:
@@ -937,7 +991,7 @@ class Simulation:
                         x -= term
                         cms += 1
                 elif weights is None:
-                    cms = node.rng.randrange(cw)
+                    cms = (node.rng or self._backoff_rng(node)).randrange(cw)
                 else:   # a one-slot window: slot 0, no draw
                     cms = 0
                 txs.append((cms, nid))
@@ -946,7 +1000,8 @@ class Simulation:
                     self._schedule_attempt(node)
                     continue
                 node.beacon_sectors.popleft()
-                cms = backoff_slots(0.0, cw, node.rng, scale)
+                cms = backoff_slots(0.0, cw,
+                                    node.rng or self._backoff_rng(node), scale)
                 txs.append((cms, nid))
                 beacon_txs.append(nid)
         if not txs:
@@ -1033,9 +1088,9 @@ class Simulation:
             if sel is None:
                 continue
             i_star, q_i, q_j, u = sel
-            acn_cms = cfg.cw + backoff_slots(u / cfg.link_rate_bps,
-                                             cfg.acn_window, rxn.rng,
-                                             cfg.backoff_utility_scale)
+            acn_cms = cfg.cw + backoff_slots(
+                u / cfg.link_rate_bps, cfg.acn_window,
+                rxn.rng or self._backoff_rng(rxn), cfg.backoff_utility_scale)
             pending_acn.append([acn_cms, rx, i_star, q_i, q_j, False])
         return pending_acn
 
@@ -1227,7 +1282,8 @@ class Simulation:
                 self._schedule_attempt(node)
                 continue
             if node.csma_residual is None:
-                node.csma_residual = node.rng.randrange(node.csma_cw)
+                node.csma_residual = (
+                    node.rng or self._backoff_rng(node)).randrange(node.csma_cw)
             if node.csma_residual >= req_window:
                 node.csma_residual -= req_window
                 self._enter_slot(t_slot + clock.super_us, "gr", (nid,))
@@ -1425,7 +1481,12 @@ class Simulation:
                         if self.exchanges_total else 0.0)
         snapshot = {}
         if cfg.protocol == "VL-ROUTE":
-            snapshot = {n.nid: n.routing.snapshot() for n in self.nodes}
+            # a served advert is current, so its table is the snapshot:
+            # recompute drops it whenever a record moves
+            for n in self.nodes:
+                adv = n.routing.served
+                snapshot[n.nid] = (adv["table"] if adv is not None
+                                   else n.routing.snapshot())
         self.trace.emit(end, -1, "end",
                         f"delivered={delivered} drops={sum(self.drops.values())}")
         return RunMetrics(

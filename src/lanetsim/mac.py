@@ -22,6 +22,12 @@ transmits when) lives in engine.py too: the requests are built in
 `Simulation._resolve_slot_vl` and `_resolve_slot_gr` and answered in
 `_vl_accept` and `_gr_grant`.  Everything here is a local decision a
 node could make from its own tables.
+
+`MacNode` is shared by the three protocols and starts without the
+state a run may never use: the engine seeds its backoff stream (`rng`)
+at the node's first draw, GR-CSMA's service order (`gr_order`) is
+created at the node's first enqueue, and VL-ROUTE's beacon schedule
+(`beacon_sectors`) when the engine first queues the node's beacons.
 """
 from __future__ import annotations
 
@@ -166,20 +172,23 @@ class MacNode:
                  "csma_residual", "beacon_sectors", "sess_sink", "q_version",
                  "attempt", "_sids_cache", "_bls_cache")
 
-    def __init__(self, nid: int, b_max: int, rng, sess_sink: dict):
+    def __init__(self, nid: int, b_max: int, sess_sink: dict):
         self.nid = nid
         self.b_max = b_max
         self.engaged = False
         self.queues: dict[int, deque] = {}
-        self.gr_order: deque[int] = deque()
+        # GR-CSMA's service order, created at the first enqueue
+        self.gr_order: deque[int] | None = None
         self.total_q = 0
         self.routing = None
-        self.rng = rng
+        # the backoff stream, seeded by the engine at the first draw
+        self.rng = None
         self.defer_until = 0
         self.pending = None           # None | "slot" | "wake"
         self.csma_cw = 0
         self.csma_residual = None
-        self.beacon_sectors: deque[int] = deque()
+        # VL-ROUTE's beacon schedule, created when beacons are queued
+        self.beacon_sectors: deque[int] | None = None
         self.sess_sink = sess_sink    # shared session -> sink map
         self.q_version = 0            # bumps on enqueue/dequeue
         # the engine's access plan: (q_version, routing version, plan,
@@ -221,7 +230,10 @@ class MacNode:
             q = deque()
             self.queues[sid] = q
         q.append(pkt)
-        self.gr_order.append(sid)
+        order = self.gr_order
+        if order is None:
+            order = self.gr_order = deque()
+        order.append(sid)
         self.total_q += 1
         self.q_version += 1
 

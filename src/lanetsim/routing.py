@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .reliability import access_prob
-from .rng import substream
+from .rng import child_seed, substream
 from .topology import ConnectivityGraph
 
 INF = math.inf
@@ -73,12 +73,17 @@ class EstimationModel:
             raise ValueError("relative_error must lie in [0, 1)")
         self.eps = relative_error
         self.master = master_seed
+        # reseeded per estimate: seed() resets a generator exactly as
+        # constructing one does, so each estimate is the first draw of
+        # substream(master_seed, "est", tag, tx, rx)
+        self._rng = substream(master_seed, "est")
 
     def perturb(self, true_p: float, tx: int, rx: int, tag: str) -> float:
         if self.eps == 0.0:
             return true_p
-        delta = substream(self.master, "est", tag, tx, rx).uniform(-self.eps,
-                                                                   self.eps)
+        rng = self._rng
+        rng.seed(child_seed(self.master, "est", tag, tx, rx))
+        delta = rng.uniform(-self.eps, self.eps)
         return min(1.0, max(0.0, true_p * (1.0 + delta)))
 
 

@@ -101,11 +101,15 @@ CRASHING_SETTINGS = [
     ("topology=random n_nodes=5 n_sinks=9", "n_sinks must leave a non-sink"),
     ("duration_cap_s=0", "duration_cap_s must be > 0"),
     ("duration_cap_s=-1", "duration_cap_s must be > 0"),
+    ("duration_cap_s=inf", "duration_cap_s must be > 0 and finite"),
     ("area_side_m=0", "area_side_m must be > 0"),
+    ("area_side_m=inf", "area_side_m must be > 0 and finite"),
+    ("range_m=nan", "range_m must be > 0 and finite"),
     ("range_m=0", "range_m must be > 0"),
     ("range_m=-1", "range_m must be > 0"),
     ("stall_window_s=0", "stall_window_s must be > 0"),
     ("stall_window_s=-1", "stall_window_s must be > 0"),
+    ("stall_window_s=inf", "stall_window_s must be > 0 and finite"),
     ("rows=0", "grid needs at least one row and one column"),
     ("cols=-2", "grid needs at least one row and one column"),
     ("grid_sinks=100", "grid_sinks names node 100, outside the grid's 0..99"),
@@ -143,6 +147,17 @@ def test_missing_subcommand_exits_one():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+def child_env():
+    """The environment of a child process that imports the package this
+    test run imported, from its source root, whatever PYTHONPATH the run
+    started with."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def sweep_ini(tmp_path, extra=""):
@@ -189,6 +204,19 @@ def test_sweep_json_format(tmp_path):
     rows = json.loads(out.read_text())
     assert len(rows) == 4
     assert all(set(CSV_COLUMNS) <= set(r) for r in rows)
+
+
+def test_serial_sweep_never_loads_the_process_pool(tmp_path):
+    code = ("import sys\n"
+            "from lanetsim import cli\n"
+            "from lanetsim.config import load_sweep\n"
+            f"rows = cli.run_sweep(load_sweep({sweep_ini(tmp_path)!r}), "
+            "jobs=1)\n"
+            "print(len(rows), 'multiprocessing' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["4", "False"]
 
 
 def test_sweep_rejects_unknown_parameter(tmp_path, capsys):
@@ -246,6 +274,19 @@ def test_one_way_graph_file_exits_one_before_any_run(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_graph_file_with_other_sectors_exits_one(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    assert main(["export-graph", "--set", "n_sectors=8", "--out",
+                 str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", *FAST, "--set", "topology=file", "--set",
+                 f"graph_file={path}"]) == 1
+    err = capsys.readouterr().err
+    assert "error: the deployment has 8 sectors, the config n_sectors=4" \
+        in err
+    assert "Traceback" not in err
+
+
 def test_export_graph_requires_out():
     with pytest.raises(SystemExit) as exc:
         main(["export-graph"])
@@ -254,15 +295,9 @@ def test_export_graph_requires_out():
 
 def test_module_runs_standalone(tmp_path):
     out = tmp_path / "m.json"
-    # the child imports the package this test imported, from its source
-    # root, whatever PYTHONPATH the test run started with
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "lanetsim.cli", "run", *FAST,
          "--out", str(out)],
-        capture_output=True, text=True, timeout=120, env=env)
+        capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["generated"] == 5

@@ -1,7 +1,9 @@
 """Event engine: clock arithmetic, channel draws, runs, invariants."""
+import gc
 import hashlib
 import itertools
 import random
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -300,9 +302,12 @@ def test_forward_progress_is_stored_once():
             assert ob.forward is g.progress[(node.nid, j)]
     gr = Simulation(replace(cfg, protocol="GR-CSMA"))
     gr.run()
-    # GR-CSMA routes geographically and never builds the index
+    # GR-CSMA routes geographically and never builds the index, nor the
+    # VL handshake's coverers or beacon schedules
     assert "progress" not in vars(gr.graph)
     assert not hasattr(gr, "prog")
+    assert not hasattr(gr, "_coverers")
+    assert all(n.beacon_sectors is None for n in gr.nodes)
 
 
 def test_warmup_tables_match_oracle_exactly():
@@ -326,6 +331,23 @@ def grid_cfg(**kw):
     base = dict(protocol="VL-ROUTE", sessions=3, duration_cap_s=0.4, seed=11)
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+@pytest.mark.parametrize("protocol", ["VL-ROUTE", "VL-MAC-GEO", "GR-CSMA"])
+def test_finished_run_is_freed_by_reference_counting(protocol):
+    """No reference cycle holds a run's state, so runs made one after
+    another in a process do not pile up until the cycle collector runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulation(grid_cfg(protocol=protocol, sessions=5))
+        sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_repeat_runs_are_identical():
@@ -435,10 +457,25 @@ def test_pinned_trace_hash(protocol, pinned):
     change updates them here and says so in CHANGES.md.
     """
     overrides, hashes = PINNED_RUNS[pinned]
-    res = run(grid_cfg(protocol=protocol, **overrides))
+    cfg = grid_cfg(protocol=protocol, **overrides)
+    sim = Simulation(cfg)
+    res = sim.run()
     assert res.trace_hash == hashes[protocol]
     assert tuple(getattr(res, f) for f in PINNED_FIELDS) == \
         PINNED_COUNTERS[(protocol, pinned)]
+    if protocol == "VL-ROUTE":
+        assert res.rrs_snapshot == {n.nid: n.routing.snapshot()
+                                    for n in sim.nodes}
+    # streams are seeded at their first draw, so each one seeded has drawn
+    for n in sim.nodes:
+        if n.rng is not None:
+            fresh = substream(cfg.seed, "backoff", n.nid)
+            assert n.rng.getstate() != fresh.getstate(), n.nid
+    for key, (draw, _, _) in sim._chan_cache.items():
+        stream = getattr(draw, "__self__", None)   # None: a first-draw stub
+        if stream is not None:
+            fresh = substream(cfg.seed, "chan", *divmod(key, sim._nn))
+            assert stream.getstate() != fresh.getstate(), key
 
 
 def test_blockage_hurts_throughput():

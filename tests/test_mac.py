@@ -254,8 +254,7 @@ def test_greedy_next_hop_requires_strict_improvement():
 
 
 def make_node(b_max=4):
-    return MacNode(0, b_max, random.Random(3),
-                   sess_sink={1: 10, 2: 10, 3: 20})
+    return MacNode(0, b_max, sess_sink={1: 10, 2: 10, 3: 20})
 
 
 def test_enqueue_dequeue_fifo_per_session():

@@ -6,6 +6,7 @@ import pytest
 from lanetsim.core import Position
 from lanetsim.reliability import (mhc_map, protocol_link_probs,
                                   rrs_fixed_point_oracle)
+from lanetsim.rng import substream
 from lanetsim.routing import INF, EstimationModel, compute_beta
 from lanetsim.topology import ConnectivityGraph
 
@@ -228,6 +229,16 @@ def test_perturbation_is_deterministic_and_bounded():
             assert abs(pa - 0.2) <= 0.2 * 0.3 + 1e-12
             seen.add(pa)
     assert len(seen) > 1            # draws differ across links
+
+
+def test_each_estimate_is_the_first_draw_of_its_named_stream():
+    """The model reseeds one generator per estimate, so an estimate does
+    not depend on which estimates came before it."""
+    m = EstimationModel(0.3, 7)
+    for tx, rx, tag in ((2, 5, "pb"), (0, 1, "pe"), (2, 5, "pb"),
+                        (1, 0, "pe")):
+        delta = substream(7, "est", tag, tx, rx).uniform(-0.3, 0.3)
+        assert m.perturb(0.2, tx, rx, tag) == 0.2 * (1.0 + delta)
 
 
 def test_perturbation_clamps_to_unit_interval():
