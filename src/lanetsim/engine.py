@@ -468,8 +468,11 @@ class Simulation:
 
         self.nodes = [MacNode(i, cfg.b_max, self.sess_sink)
                       for i in range(g.n_nodes)]
+        gr_csma = cfg.protocol == "GR-CSMA"
         for n in self.nodes:
             n.csma_cw = cfg.csma_cw_min
+            if gr_csma:
+                n.gr_order = deque()
 
         self._greedy_memo: dict[tuple[int, int], int | None] = {}
         # (nid, sink) -> (routing obs_version, _sector_terms value)
@@ -816,61 +819,48 @@ class Simulation:
         rr are the receiver's); `_evaluate_arts` checks the memo.
         """
         i = ini.nid
-        ini_state = ini.routing
-        vl_route = self.cfg.protocol == "VL-ROUTE"
-        sess_sink = self.sess_sink
-        prog = self.prog
         result = None
-        prog_fwd = prog[(i, rxn.nid)]
-        if prog_fwd:
-            fwd_options = []
-            for sid in ini.queued_sids():
-                k = sess_sink[sid]
-                p = prog_fwd.get(k)
-                if p is None:
-                    continue
-                if vl_route:
-                    gmax_i = ini_state.gamma_max(k)
-                    own = rxn.routing.entries[k].gamma
-                    if gmax_i <= 0.0 or own <= 0.0:
-                        continue
-                    weight = (own / gmax_i) * p
-                else:
-                    weight = p
-                fwd_options.append((sid, weight, ini.backlog(sid),
-                                    rxn.backlog(sid)))
-            q_i, eta_fwd = select_session_eta(fwd_options)
-            if q_i is not None:
-                q_j, eta_rev = None, 0.0
-                if ini.free_space() >= 1:
-                    prog_rev = prog[(rxn.nid, i)]
-                    if prog_rev:
-                        rev_options = []
-                        for sid in rxn.queued_sids():
-                            k = sess_sink[sid]
-                            p = prog_rev.get(k)
-                            if p is None:
-                                continue
-                            if vl_route:
-                                theirs = ini_state.entries[k].gamma
-                                gmax = rxn.routing.gamma_max(k)
-                                if theirs <= 0.0 or gmax <= 0.0:
-                                    continue
-                                weight = (theirs / gmax) * p
-                            else:
-                                weight = p
-                            rev_options.append(
-                                (sid, weight, rxn.backlog(sid),
-                                 ini.backlog(sid)))
-                        q_j, eta_rev = select_session_eta(rev_options)
-                links = self.graph.links
-                u = eta_fwd * links[(i, rxn.nid)].capacity_bps \
-                    + eta_rev * links[(rxn.nid, i)].capacity_bps
-                result = (q_i, q_j, u)
+        q_i, eta_fwd = self._direction(ini, rxn)
+        if q_i is not None:
+            q_j, eta_rev = None, 0.0
+            if ini.free_space() >= 1:
+                q_j, eta_rev = self._direction(rxn, ini)
+            links = self.graph.links
+            u = eta_fwd * links[(i, rxn.nid)].capacity_bps \
+                + eta_rev * links[(rxn.nid, i)].capacity_bps
+            result = (q_i, q_j, u)
         self._pair_cache[i * self._nn + rxn.nid] = (
-            ini.q_version, ini_state.version if ini_state else 0, rq, rr,
+            ini.q_version, ini.routing.version if ini.routing else 0, rq, rr,
             result)
         return result
+
+    def _direction(self, src: MacNode, dst: MacNode):
+        """(session, eta) for the best transfer from src to dst.
+
+        Each of src's queued sessions toward a sink the link progresses
+        to is weighted by that progress, times dst's RRS toward the sink
+        normalized by src's best neighbor RRS under VL-ROUTE.  A link
+        with no progress yields (None, 0.0).
+        """
+        prog = self.prog[(src.nid, dst.nid)]
+        if not prog:
+            return None, 0.0
+        vl_route = self.cfg.protocol == "VL-ROUTE"
+        sess_sink = self.sess_sink
+        options = []
+        for sid in src.queued_sids():
+            k = sess_sink[sid]
+            p = prog.get(k)
+            if p is None:
+                continue
+            if vl_route:
+                theirs = dst.routing.entries[k].gamma
+                gmax = src.routing.gamma_max(k)
+                if theirs <= 0.0 or gmax <= 0.0:
+                    continue
+                p = (theirs / gmax) * p
+            options.append((sid, p, src.backlog(sid), dst.backlog(sid)))
+        return select_session_eta(options)
 
     def _evaluate_arts(self, rxn: MacNode, initiators: list[int]):
         """Acceptor selection among decodable requests; None to stay silent."""

@@ -16,18 +16,19 @@ backlogged sessions and the forward-progress neighbors in that sector,
 backlog x normalized progress x normalized RRS (`Simulation._sector_terms`
 and `_vl_choose_eval`); an acceptor scores a heard initiator by the
 best weighted differential backlog in each direction times that
-direction's link capacity (`_eval_pair`).  The geographic baseline uses
-the same shapes with the RRS factor pinned to 1.  Sequencing (who
-transmits when) lives in engine.py too: the requests are built in
-`Simulation._resolve_slot_vl` and `_resolve_slot_gr` and answered in
-`_vl_accept` and `_gr_grant`.  Everything here is a local decision a
-node could make from its own tables.
+direction's link capacity (`_eval_pair`, one `_direction` call per
+direction).  The geographic baseline uses the same shapes with the RRS
+factor pinned to 1.  Sequencing (who transmits when) lives in engine.py
+too: the requests are built in `Simulation._resolve_slot_vl` and
+`_resolve_slot_gr` and answered in `_vl_accept` and `_gr_grant`.
+Everything here is a local decision a node could make from its own
+tables.
 
 `MacNode` is shared by the three protocols and starts without the
 state a run may never use: the engine seeds its backoff stream (`rng`)
-at the node's first draw, GR-CSMA's service order (`gr_order`) is
-created at the node's first enqueue, and VL-ROUTE's beacon schedule
-(`beacon_sectors`) when the engine first queues the node's beacons.
+at the node's first draw, only GR-CSMA nodes get a service order
+(`gr_order`), and VL-ROUTE's beacon schedule (`beacon_sectors`) is
+created when the engine first queues the node's beacons.
 """
 from __future__ import annotations
 
@@ -177,7 +178,7 @@ class MacNode:
         self.b_max = b_max
         self.engaged = False
         self.queues: dict[int, deque] = {}
-        # GR-CSMA's service order, created at the first enqueue
+        # GR-CSMA's service order, set by the engine for GR-CSMA nodes
         self.gr_order: deque[int] | None = None
         self.total_q = 0
         self.routing = None
@@ -230,10 +231,8 @@ class MacNode:
             q = deque()
             self.queues[sid] = q
         q.append(pkt)
-        order = self.gr_order
-        if order is None:
-            order = self.gr_order = deque()
-        order.append(sid)
+        if self.gr_order is not None:
+            self.gr_order.append(sid)
         self.total_q += 1
         self.q_version += 1
 
@@ -241,7 +240,8 @@ class MacNode:
         pkt = self.queues[sid].popleft()
         self.total_q -= 1
         self.q_version += 1
-        self.gr_order.remove(sid)
+        if self.gr_order is not None:
+            self.gr_order.remove(sid)
         return pkt
 
     def gr_head_sid(self) -> int | None:

@@ -22,14 +22,11 @@ table (recompute) so a batch of overheard advertisements costs one
 recomputation; `version` increments on every visible change, letting
 callers cache anything derived from the table.
 
-Adverts are incremental, as in DSDV's triggered updates (Perkins &
-Bhagwat, SIGCOMM 1994).  A node rebuilds its advert only when its own
-table or sector counts moved, and a rebuilt advert names the sinks
-whose record differs from its previous advert (`delta`) and carries
-that advert's table (`prev_table`).  A receiver whose stored
-observation is exactly that table marks only the delta's sinks stale;
-any other receiver (one that missed an advert, or one handed an advert
-built by hand without these keys) falls back to diffing the tables.
+An advert carries the sender's full table.  A node rebuilds it only
+when its own table or sector counts moved, and an unchanged table is
+the previous advert's object.  A receiver folds an advert by identity
+(the table it already holds) or by diffing the tables, and marks stale
+only the sinks whose record differs.
 
 The warm-up before traffic does not run advert rounds: the engine
 derives the converged tables per sink, hands each node its neighbors'
@@ -145,8 +142,6 @@ class RoutingState:
         # it) and the last one built
         self.served = None
         self._adv_last = None
-        # sinks whose record moved since the last advert was built
-        self._adv_moved: set[int] = set()
         self._gmax_cache: dict[int, float] = {}
         # sinks whose stored observations moved since the last recompute
         self._dirty: set[int] = set()
@@ -160,9 +155,9 @@ class RoutingState:
 
         Returns True when anything the table derivation depends on
         actually moved, so callers can batch several observations and
-        recompute once.  The sender must be a graph neighbor.  An advert
-        carrying `prev_table` must carry in `delta` exactly the sinks whose
-        record differs from that table.
+        recompute once.  The sender must be a graph neighbor.  A table
+        this node already holds moves nothing; any other is diffed
+        against the stored one, sink by sink.
         """
         j = advert["node"]
         if j == self.node_id:
@@ -186,8 +181,6 @@ class RoutingState:
                     # an unchanged sender re-serves the cached advert
                     return False
                 moved = ()
-            elif advert.get("prev_table") is old:
-                moved = advert["delta"]
             elif old == tbl:
                 moved = ()
             else:
@@ -282,7 +275,6 @@ class RoutingState:
                     entry.best = best
             if g_new != entry.gamma or h_new != entry.mhc:
                 changed = True
-                self._adv_moved.add(k)
                 if h_new != entry.mhc or (g_new == 0.0) != (entry.gamma == 0.0):
                     worthy = True
                 entry.gamma = g_new
@@ -302,43 +294,22 @@ class RoutingState:
     def advertisement(self) -> dict:
         """Snapshot other nodes may fold in via observe.
 
-        Built once per change of the table or the sector counts.  Past
-        the first, an advert carries the previous advert's table as
-        `prev_table` and, as `delta`, the sinks whose record differs
-        from it; the table object is shared while no record differs.
+        Built once per change of the table or the sector counts.  A
+        table equal to the last advert's is that advert's table object,
+        and with equal sector counts too the advert is the last one.
         """
         adv = self.served
         if adv is not None:
             return adv
-        entries = self.entries
+        table = self.snapshot()
         counts = tuple(len(s) for s in self.obs_by_sector)
         last = self._adv_last
-        if last is None:
-            adv = {
-                "node": self.node_id,
-                "table": {k: (e.gamma, e.mhc) for k, e in entries.items()},
-                "sector_counts": counts,
-            }
-        else:
-            prev = last["table"]
-            delta = tuple(k for k in sorted(self._adv_moved)
-                          if prev[k] != (entries[k].gamma, entries[k].mhc))
-            if not delta and counts == last["sector_counts"]:
-                adv = last
-            else:
-                table = prev
-                if delta:
-                    table = dict(prev)
-                    for k in delta:
-                        table[k] = (entries[k].gamma, entries[k].mhc)
-                adv = {
-                    "node": self.node_id,
-                    "table": table,
-                    "sector_counts": counts,
-                    "prev_table": prev,
-                    "delta": delta,
-                }
-        self._adv_moved.clear()
+        if last is not None and table == last["table"]:
+            if counts == last["sector_counts"]:
+                self.served = last
+                return last
+            table = last["table"]
+        adv = {"node": self.node_id, "table": table, "sector_counts": counts}
         self.served = self._adv_last = adv
         return adv
 
@@ -356,7 +327,6 @@ class RoutingState:
         if advert != own:
             raise ValueError(f"advert differs from node {self.node_id}'s "
                              "table or sector counts")
-        self._adv_moved.clear()
         self.served = self._adv_last = advert
 
     def gamma_max(self, k: int) -> float:

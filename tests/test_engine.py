@@ -208,10 +208,9 @@ def test_leftovers_are_classified_only_toward_their_sinks(cap_s, sinks,
 # -- warm-up against the fixed-point oracle -----------------------------
 
 
-def without_delta(adv):
-    """A copy of an advert as a hand-built one: no delta, a fresh table."""
-    return {"node": adv["node"], "table": dict(adv["table"]),
-            "sector_counts": adv["sector_counts"]}
+def with_fresh_table(adv):
+    """A copy of an advert whose table is a new dict, so folds diff it."""
+    return dict(adv, table=dict(adv["table"]))
 
 
 def flood_one_advert_at_a_time(graph, states):
@@ -220,7 +219,7 @@ def flood_one_advert_at_a_time(graph, states):
     rounds_cap = graph.n_nodes + 8
     rounds = 0
     for _ in range(rounds_cap):
-        adverts = {i: without_delta(states[i].advertisement())
+        adverts = {i: with_fresh_table(states[i].advertisement())
                    for i in sorted(states)}
         changed_any = False
         for i in sorted(states):
@@ -261,8 +260,7 @@ def routing_state(st):
                 for k in st.sinks},
         "entries": {k: (e.gamma, e.mhc, e.last_beta, e.best)
                     for k, e in st.entries.items()},
-        "pending": (st._dirty, st._discounted, st._adv_moved,
-                    st._gmax_cache),
+        "pending": (st._dirty, st._discounted, st._gmax_cache),
     }
     adv = st.advertisement()
     out["advert"] = (adv["table"], adv["sector_counts"])
@@ -278,8 +276,7 @@ def test_batched_flood_matches_per_advert_flood(graph, eps):
     assert rounds == flood_one_advert_at_a_time(graph, one_by_one)
     for i in range(graph.n_nodes):
         st = batched[i]
-        assert not (st._dirty or st._discounted or st._adv_moved
-                    or st._gmax_cache), i
+        assert not (st._dirty or st._discounted or st._gmax_cache), i
         assert routing_state(st) == routing_state(one_by_one[i]), i
     for i in range(graph.n_nodes):
         # listeners hold the objects their senders serve

@@ -1,6 +1,7 @@
 """Access decisions, the utilities the engine ranks, and the queues."""
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -309,6 +310,7 @@ def test_backlog_by_sink_aggregates_sessions():
 
 def test_gr_service_order_is_oldest_packet_first():
     n = make_node()
+    n.gr_order = deque()    # as the engine sets it for a GR-CSMA node
     steps = [(n.enqueue, 1, DataPacket(1, 0)),
              (n.enqueue, 2, DataPacket(2, 0)),
              (n.enqueue, 1, DataPacket(1, 1)),
@@ -320,3 +322,16 @@ def test_gr_service_order_is_oldest_packet_first():
         assert len(n.gr_order) == n.total_q
         heads.append(n.gr_head_sid())
     assert heads == [1, 1, 1, 2, 1, None]
+
+
+@pytest.mark.parametrize("protocol", ["VL-ROUTE", "VL-MAC-GEO", "GR-CSMA"])
+def test_only_gr_csma_nodes_keep_a_service_order(protocol):
+    sim = Simulation(ScenarioConfig(protocol=protocol, sessions=6,
+                                    duration_cap_s=0.3))
+    res = sim.run()
+    assert res.exchanges_total > 0     # packets were queued and handed on
+    for n in sim.nodes:
+        if protocol == "GR-CSMA":
+            assert len(n.gr_order) == n.total_q
+        else:
+            assert n.gr_order is None

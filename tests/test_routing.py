@@ -272,7 +272,7 @@ def test_beta_rejects_bad_arguments():
         compute_beta(0, 0)
 
 
-# -- incremental adverts --------------------------------------------------
+# -- folding adverts ------------------------------------------------------
 
 
 def test_missed_advert_falls_back_to_the_diff():
@@ -286,18 +286,14 @@ def test_missed_advert_falls_back_to_the_diff():
 
     sender.recompute({0: B_MAX // 2})
     second = sender.advertisement()
-    assert second["prev_table"] is first["table"]
-    assert second["delta"] == (0,)
     assert heard_all.observe(second)
     assert heard_all._dirty == {0}
 
     sender.recompute({0: B_MAX // 2, 15: B_MAX // 2})
     third = sender.advertisement()
-    assert third["prev_table"] is second["table"]
-    assert third["delta"] == (15,)
     assert heard_all.observe(third)
-    # missed the second advert, so its stored table is not third's
-    # prev_table: the diff finds both sinks
+    # missed the second advert, so the diff against the first finds
+    # both sinks
     assert missed.observe(third)
     assert missed._dirty == heard_all._dirty == {0, 15}
     assert missed.recompute({}) == heard_all.recompute({})
@@ -324,7 +320,6 @@ def test_record_changed_and_back_marks_nothing():
     sender.recompute({0: B_MAX // 2})
     sender.recompute({15: B_MAX // 2})
     adv = sender.advertisement()
-    assert adv["delta"] == (15,)
     assert rx.observe(adv)
     assert rx._dirty == {15}
 
@@ -339,7 +334,7 @@ def test_gamma_max_matches_rescan_after_every_fold():
         j = rng.choice(g.out_neighbors(4))
         last = sent.get(j)
         if last is None or rng.random() < 0.3:
-            # a hand-built advert: fresh table, no delta
+            # a fresh table
             table = {k: (rng.choice((0.0, 0.25, 0.5, 0.75)),
                          rng.choice((1, 2, INF)))
                      for k in sinks if rng.random() < 0.8}
@@ -354,14 +349,20 @@ def test_gamma_max_matches_rescan_after_every_fold():
                 for k in rng.sample(sinks, rng.randint(1, len(sinks))):
                     table[k] = (rng.choice((0.0, 0.25, 0.5, 0.75)), 1)
             adv = {"node": j, "table": table,
-                   "sector_counts": (rng.randint(0, 3),) * 4,
-                   "prev_table": prev,
-                   "delta": tuple(k for k in sinks
-                                  if prev.get(k) != table.get(k))}
+                   "sector_counts": (rng.randint(0, 3),) * 4}
         sent[j] = adv
         for k in sinks:
             st.gamma_max(k)         # fill the cache before the fold
+        ob = st.obs.get(j)
+        old = ob.table if ob else {}
+        if ob is not None and ob.sector_counts != adv["sector_counts"]:
+            want_dirty = set(sinks)
+        else:
+            want_dirty = {k for k in old.keys() | table.keys()
+                          if old.get(k) != table.get(k)}
+        st._dirty.clear()
         st.observe(adv)
+        assert st._dirty == want_dirty
         for k in sinks:
             want = max((ob.table[k][0] for ob in st.obs.values()
                         if k in ob.table), default=0.0)
